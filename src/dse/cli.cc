@@ -1,7 +1,6 @@
 #include "dse/cli.h"
 
 #include <algorithm>
-#include <cctype>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -53,15 +52,14 @@ const char kUsage[] =
     "  --prune=MODE     sweep/pareto transform-axis search: off (default) =\n"
     "                   exhaustive enumeration; on = analytic bound-guided\n"
     "                   search (DESIGN.md §13) that skips dominated\n"
-    "                   candidates; stats = on, plus a pruning summary line\n"
+    "                   candidates\n"
     "  --fetch=MODE     concurrent operand fetch: on (default) | off | both\n"
     "  --jobs=N         evaluation threads (default 1; 0 = all cores)\n"
     "  --format=FMT     text (default) | csv | json\n"
-    "  --frontier       sweep/pareto: one all-budget allocation frontier per\n"
-    "                   (variant, algorithm), sliced per budget (default)\n"
     "  --per-point      sweep/pareto: run every (algorithm, budget) point\n"
-    "                   through its own allocator call (the frontier's\n"
-    "                   oracle; output is byte-identical to --frontier)\n"
+    "                   through its own allocator call instead of slicing\n"
+    "                   one all-budget frontier per (variant, algorithm)\n"
+    "                   (the frontier's oracle; output is byte-identical)\n"
     "\n"
     "client flags (see README \"Running the service\"):\n"
     "  --socket=PATH    connect to a srrad Unix socket\n"
@@ -76,7 +74,7 @@ const char kUsage[] =
     "                   from different daemons diff byte-identical\n"
     "  --script=FILE    one request per line as key=value tokens, e.g.\n"
     "                   'kernel=fir algo=cpa budget=64', 'kernel=mat\n"
-    "                   budgets=8:64', 'probe key=HEX16', 'stats'\n"
+    "                   budgets=8:64', 'probe key=HEX16', 'health'\n"
     "  --repeat=N       send the request list N times over\n"
     "  --timeout-ms=N   connect/send/receive deadline (default 5000 connect,\n"
     "                   30000 I/O; 0 = wait forever)\n"
@@ -87,7 +85,7 @@ const char kUsage[] =
     "  one-shot query:  --kernel=NAME|FILE [--transforms=SEQ] [--algo=NAME]\n"
     "                   [--budget=N | --budgets=SPEC] [--fetch=on|off]\n"
     "                   [--probe] [--key=HEX16] [--timing] [--id=TAG],\n"
-    "                   or --stats / --health / --shutdown\n";
+    "                   or --health / --shutdown\n";
 
 struct Flags {
   std::map<std::string, std::string> values;
@@ -104,11 +102,11 @@ struct Flags {
 // silently ignored).
 const std::vector<const char*> kExploreFlags = {
     "kernel", "algos", "budget", "budgets", "interchange", "tiles", "unroll",
-    "transforms", "prune", "fetch", "jobs", "format", "frontier", "per-point"};
+    "transforms", "prune", "fetch", "jobs", "format", "per-point"};
 const std::vector<const char*> kClientFlags = {
     "socket", "tcp", "emit", "decode", "print", "script", "repeat", "kernel",
     "transforms", "algo", "budget", "budgets", "fetch", "probe", "key",
-    "timing", "id", "stats", "health", "shutdown", "timeout-ms", "retries"};
+    "timing", "id", "health", "shutdown", "timeout-ms", "retries"};
 
 Flags parse_flags(const std::vector<std::string>& args, std::size_t first,
                   const std::vector<const char*>& known) {
@@ -128,24 +126,6 @@ Flags parse_flags(const std::vector<std::string>& args, std::size_t first,
   return flags;
 }
 
-// Canonical matching key: lower-case, '-' folded to '_'.
-std::string canon(std::string_view name) {
-  std::string key;
-  for (const char c : name) {
-    key += c == '-' ? '_' : static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return key;
-}
-
-std::vector<SpaceKernel> builtin_kernels() {
-  std::vector<SpaceKernel> all;
-  all.push_back({"example", kernels::paper_example()});
-  for (kernels::NamedKernel& nk : kernels::all_kernels()) {
-    all.push_back({nk.name, std::move(nk.kernel)});
-  }
-  return all;
-}
-
 SpaceKernel load_kernel_file(const std::string& path) {
   std::ifstream in(path);
   check(in.good(), cat("cannot open kernel file: ", path));
@@ -158,23 +138,17 @@ SpaceKernel load_kernel_file(const std::string& path) {
 
 // Resolves one --kernel token: built-in name, set name, or DSL file path.
 void resolve_kernel(const std::string& token, std::vector<SpaceKernel>& out) {
-  std::string key = canon(token);
-  if (key == "mmt") key = "mat";  // matrix-matrix multiply, both spellings
-  if (key == "paper") {
-    for (kernels::NamedKernel& nk : kernels::table1_kernels()) {
-      out.push_back({nk.name, std::move(nk.kernel)});
+  const std::string key = spelling_key(token);
+  if (key == "paper" || key == "all") {
+    for (kernels::NamedKernel& nk :
+         key == "paper" ? kernels::table1_kernels() : kernels::builtin_kernels()) {
+      out.push_back({std::move(nk.name), std::move(nk.kernel)});
     }
     return;
   }
-  if (key == "all") {
-    for (SpaceKernel& sk : builtin_kernels()) out.push_back(std::move(sk));
+  if (std::optional<kernels::NamedKernel> nk = kernels::find_builtin(token)) {
+    out.push_back({std::move(nk->name), std::move(nk->kernel)});
     return;
-  }
-  for (SpaceKernel& sk : builtin_kernels()) {
-    if (canon(sk.name) == key) {
-      out.push_back(std::move(sk));
-      return;
-    }
   }
   if (std::ifstream(token).good()) {
     out.push_back(load_kernel_file(token));
@@ -196,7 +170,7 @@ std::vector<SpaceKernel> resolve_kernels(const std::string& list) {
 }
 
 std::vector<Algorithm> resolve_algorithms(const std::string& list) {
-  const std::string key = canon(list);
+  const std::string key = spelling_key(list);
   if (key == "paper") return paper_variants();
   if (key == "all") return all_algorithms();
   std::vector<Algorithm> algorithms;
@@ -242,20 +216,10 @@ int parse_int(const std::string& text, const char* what, int min_value) {
 int cmd_list(std::ostream& out) {
   out << "Built-in kernels:\n";
   Table kernels_table({"Name", "Depth", "Loops", "Description"});
-  std::vector<SpaceKernel> builtins = builtin_kernels();
-  std::map<std::string, std::string> descriptions;
-  for (const kernels::NamedKernel& nk : kernels::all_kernels()) {
-    descriptions[nk.name] = nk.description;
-  }
-  descriptions["example"] = "Figure 1 worked example";
-  for (const SpaceKernel& sk : builtins) {
-    // find(), not operator[]: a kernel without a description entry should
-    // say so, not silently grow the map with an empty string.
-    const auto description = descriptions.find(sk.name);
-    kernels_table.add_row({sk.name, std::to_string(sk.kernel.depth()),
-                           cat("(", join(sk.kernel.loop_names(), ","), ")"),
-                           description != descriptions.end() ? description->second
-                                                             : "(no description)"});
+  for (const kernels::NamedKernel& nk : kernels::builtin_kernels()) {
+    kernels_table.add_row({nk.name, std::to_string(nk.kernel.depth()),
+                           cat("(", join(nk.kernel.loop_names(), ","), ")"),
+                           nk.description});
   }
   kernels_table.set_align(1, Align::kRight);
   kernels_table.render(out);
@@ -282,8 +246,7 @@ int cmd_run(const Flags& flags, std::ostream& out) {
   check(!flags.has("tiles") && !flags.has("unroll"),
         "--tiles/--unroll enumerate axes and apply to sweep/pareto; "
         "run takes an explicit --transforms sequence");
-  check(!flags.has("frontier") && !flags.has("per-point"),
-        "--frontier/--per-point apply to sweep/pareto");
+  check(!flags.has("per-point"), "--per-point applies to sweep/pareto");
   check(!flags.has("prune"), "--prune applies to sweep/pareto");
   std::vector<SpaceKernel> selected = resolve_kernels(flags.get("kernel", ""));
   check(selected.size() == 1, "run takes exactly one kernel");
@@ -356,8 +319,8 @@ int cmd_run(const Flags& flags, std::ostream& out) {
 int cmd_sweep(const Flags& flags, std::ostream& out, bool reduce_to_pareto) {
   check(!flags.has("budget"), "sweep/pareto take --budgets, not --budget");
   const std::string prune_mode = flags.get("prune", "off");
-  check(prune_mode == "on" || prune_mode == "off" || prune_mode == "stats",
-        cat("bad --prune value: ", prune_mode, " (want on|off|stats)"));
+  check(prune_mode == "on" || prune_mode == "off",
+        cat("bad --prune value: ", prune_mode, " (want on|off)"));
   AxisSpec axes;
   axes.kernels = resolve_kernels(flags.get("kernel", "paper"));
   axes.algorithms = resolve_algorithms(flags.get("algos", "paper"));
@@ -378,25 +341,12 @@ int cmd_sweep(const Flags& flags, std::ostream& out, bool reduce_to_pareto) {
 
   ExploreOptions options;
   options.jobs = flags.has("jobs") ? parse_int(flags.get("jobs", "1"), "--jobs", 0) : 1;
-  check(!(flags.has("frontier") && flags.has("per-point")),
-        "--frontier and --per-point are mutually exclusive");
   options.frontier = !flags.has("per-point");
   const Format format = parse_format(flags.get("format", "text"));
 
   const ExploreResult result = prune_mode == "off"
                                    ? explore(std::move(axes), options)
                                    : explore_guided(std::move(axes), options);
-  if (prune_mode == "stats") {
-    const SpaceStats& stats = result.space.stats;
-    const double share =
-        stats.variants_generated > 0
-            ? 100.0 * static_cast<double>(stats.variants_pruned) /
-                  static_cast<double>(stats.variants_generated)
-            : 0.0;
-    out << "Prune: generated " << stats.variants_generated << ", pruned "
-        << stats.variants_pruned << " (" << to_fixed(share, 1)
-        << "%), evaluated " << stats.variants_evaluated << "\n\n";
-  }
   if (reduce_to_pareto) {
     write_pareto_report(out, result, format);
   } else {
@@ -420,13 +370,12 @@ std::string resolve_kernel_text(const std::string& token) {
 
 // Builds one request payload from key=value tokens (the client flags and
 // --script lines share this vocabulary: kernel, transforms, algo, budget,
-// budgets, fetch, probe, key, timing, id, stats, shutdown).
+// budgets, fetch, probe, key, timing, id, health, shutdown).
 std::string client_request(const std::map<std::string, std::string>& tokens) {
   for (const auto& [name, value] : tokens) {
     static const char* known[] = {"kernel", "transforms", "algo",   "budget",
                                   "budgets", "fetch",     "probe",  "key",
-                                  "timing",  "id",        "stats",  "health",
-                                  "shutdown"};
+                                  "timing",  "id",        "health", "shutdown"};
     check(std::find_if(std::begin(known), std::end(known),
                        [&, n = name](const char* k) { return n == k; }) != std::end(known),
           cat("unknown request token: ", name, (value.empty() ? "" : "="), value));
@@ -435,15 +384,10 @@ std::string client_request(const std::map<std::string, std::string>& tokens) {
   const auto get = [&](const char* k) { return tokens.at(k); };
 
   JsonValue request = JsonValue::make_object();
-  const int admin_ops = static_cast<int>(has("stats")) + static_cast<int>(has("health")) +
-                        static_cast<int>(has("shutdown"));
-  check(admin_ops <= 1, "stats, health and shutdown are separate requests");
-  if (admin_ops == 1) {
-    check(!has("kernel") && !has("key"),
-          "stats/health/shutdown requests take no query tokens");
-    request.set("op", JsonValue::make_string(has("stats")    ? "stats"
-                                             : has("health") ? "health"
-                                                             : "shutdown"));
+  check(!(has("health") && has("shutdown")), "health and shutdown are separate requests");
+  if (has("health") || has("shutdown")) {
+    check(!has("kernel") && !has("key"), "health/shutdown requests take no query tokens");
+    request.set("op", JsonValue::make_string(has("health") ? "health" : "shutdown"));
     if (has("id")) request.set("id", JsonValue::make_string(get("id")));
     return request.to_string();
   }
@@ -531,8 +475,7 @@ int cmd_client(const Flags& flags, std::ostream& out) {
   } else {
     std::map<std::string, std::string> tokens;
     for (const char* name : {"kernel", "transforms", "budget", "budgets", "fetch",
-                             "probe", "key", "timing", "id", "stats", "health",
-                             "shutdown"}) {
+                             "probe", "key", "timing", "id", "health", "shutdown"}) {
       if (flags.has(name)) tokens.emplace(name, flags.get(name, ""));
     }
     if (flags.has("algo")) tokens.emplace("algo", flags.get("algo", ""));

@@ -169,6 +169,22 @@ std::vector<NamedKernel> all_kernels() {
   return all;
 }
 
+std::vector<NamedKernel> builtin_kernels() {
+  std::vector<NamedKernel> all;
+  all.push_back({"example", "Figure 1 worked example", paper_example()});
+  for (NamedKernel& nk : all_kernels()) all.push_back(std::move(nk));
+  return all;
+}
+
+std::optional<NamedKernel> find_builtin(std::string_view name) {
+  std::string key = spelling_key(name);
+  if (key == "mmt") key = "mat";  // matrix-matrix multiply, both spellings
+  for (NamedKernel& nk : builtin_kernels()) {
+    if (spelling_key(nk.name) == key) return std::move(nk);
+  }
+  return std::nullopt;
+}
+
 Kernel paper_example() { return parse_kernel(kExampleSrc); }
 Kernel fir() { return parse_kernel(kFirSrc); }
 Kernel dec_fir() { return parse_kernel(kDecFirSrc); }

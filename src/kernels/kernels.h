@@ -4,7 +4,9 @@
 // the textual frontend is exercised on every use.
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ir/kernel.h"
@@ -58,6 +60,16 @@ Kernel matvec();
 
 /// Table-1 kernels plus the extra workloads (sweeps and examples).
 std::vector<NamedKernel> all_kernels();
+
+/// The Figure 1 example followed by all_kernels(): every kernel the CLI and
+/// the service accept by name.
+std::vector<NamedKernel> builtin_kernels();
+
+/// The builtin kernel `name` spells, or nullopt. Spellings are
+/// case-insensitive, '-' and '_' are interchangeable, and "mmt" is an alias
+/// of "mat". The result carries the display name ("example", "FIR",
+/// "Dec-FIR", ...), which the service hashes into its cache keys.
+std::optional<NamedKernel> find_builtin(std::string_view name);
 
 /// DSL source text of a kernel by name ("example", "fir", "dec_fir", "mat",
 /// "imi", "pat", "bic"); throws for unknown names. Useful for the parser

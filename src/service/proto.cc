@@ -107,11 +107,10 @@ Request parse_request(const std::string& payload) {
     if (name == "op") {
       const std::string& op = value.as_string();
       if (op == "query") request.op = RequestOp::kQuery;
-      else if (op == "stats") request.op = RequestOp::kStats;
       else if (op == "health") request.op = RequestOp::kHealth;
       else if (op == "shutdown") request.op = RequestOp::kShutdown;
       else if (op == "pull") request.op = RequestOp::kPull;
-      else fail(cat("unknown op '", op, "' (want query|stats|health|shutdown|pull)"));
+      else fail(cat("unknown op '", op, "' (want query|health|shutdown|pull)"));
     } else if (name == "id") {
       request.id = value.as_string();
     } else if (name == "kernel") {
@@ -174,7 +173,7 @@ Request parse_request(const std::string& payload) {
   check(!saw_pull_field, "'limit' and 'offset' are pull-op members");
   if (request.op != RequestOp::kQuery) {
     check(!saw_query_field && !saw_probe,
-          "stats/health/shutdown requests take only 'op', 'id' and 'timing'");
+          "health/shutdown requests take only 'op', 'id' and 'timing'");
     return request;
   }
 

@@ -21,13 +21,15 @@
 //    "probe": false,                        -- cache-only: never compute
 //    "key": "0123456789abcdef",             -- probe an exact cache key
 //    "timing": false}                       -- include elapsed_us
-//   {"op": "stats"}    -- server counters (hits/misses/coalesced/...)
-//   {"op": "health"}   -- store mode (ok|degraded|disabled), store/failure
-//                         counters, hit rate, eviction-policy counters
-//                         (DESIGN.md §14, §15)
+//   {"op": "health"}   -- server counters (jobs/requests/queries/hits/
+//                         misses/computed/coalesced/...), store mode
+//                         (ok|degraded|disabled), store/failure counters,
+//                         hit rate, eviction-policy counters (DESIGN.md
+//                         §14, §15)
 //   {"op": "pull", "limit": 256, "offset": 0}
-//                      -- page of stored entries, top recompute-cost-per-
-//                         byte score first: a cold daemon's warmup stream
+//                      -- page of stored entries in keep order (the
+//                         reverse of service/eviction.h's rank, recency
+//                         left out): a cold daemon's warmup stream
 //                         (DESIGN.md §15); payloads travel as JSON strings
 //                         so the cached bytes survive verbatim
 //   {"op": "shutdown"} -- respond, then stop the serve loop
@@ -83,7 +85,7 @@ int extract_frame(std::string& buffer, std::string& payload);
 
 // ----------------------------------------------------------------- requests
 
-enum class RequestOp { kQuery, kStats, kHealth, kShutdown, kPull };
+enum class RequestOp { kQuery, kHealth, kShutdown, kPull };
 
 /// One parsed request. Defaults reproduce the paper's setup (CPA-RA at
 /// budget 64, concurrent fetch), matching the `srra run` CLI defaults.
@@ -193,7 +195,7 @@ std::string make_query_response(const ResponseMeta& meta, const std::string& pay
 /// Assembles an ok:false envelope.
 std::string make_error_response(const std::string& id, const std::string& message);
 
-/// Assembles an ok:true envelope with one extra object member (stats,
+/// Assembles an ok:true envelope with one extra object member (health,
 /// shutdown acknowledgements): {"schema", "id"?, "ok": true, <member>: value}.
 std::string make_value_response(const std::string& id, const std::string& member,
                                 const JsonValue& value);

@@ -30,17 +30,6 @@ namespace srra::service {
 
 namespace {
 
-// Canonical kernel-name key, matching the CLI's spelling rules: lower-case,
-// '-' folded to '_', "mmt" aliased to "mat".
-std::string canon_name(std::string_view name) {
-  std::string key;
-  for (const char c : name) {
-    key += c == '-' ? '_' : static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  if (key == "mmt") key = "mat";
-  return key;
-}
-
 std::string join_int64(const std::vector<std::int64_t>& values) {
   std::string out;
   for (const std::int64_t v : values) {
@@ -139,6 +128,9 @@ std::string Server::health_response(const std::string& id) {
   if (!store_.last_write_error().empty()) {
     health.set("store_last_error", JsonValue::make_string(store_.last_write_error()));
   }
+  health.set("jobs", JsonValue::make_int(pool_.jobs()));
+  health.set("requests", JsonValue::make_int(stats_.requests));
+  health.set("queries", JsonValue::make_int(stats_.queries));
   health.set("hits", JsonValue::make_int(stats_.hits));
   health.set("misses", JsonValue::make_int(stats_.misses));
   const std::int64_t looked_up = stats_.hits + stats_.misses;
@@ -164,21 +156,14 @@ constexpr std::int64_t kMaxPullBytes = std::int64_t{4} << 20;
 }  // namespace
 
 std::string Server::pull_response(const Request& request) {
-  // Stored entries, highest recompute-cost-per-byte score first (ties:
-  // oldest arrival, then key) — the same ordering eviction respects, so a
-  // cold peer pulling a prefix adopts exactly the entries most worth
-  // keeping. Paged by entry count (limit/offset) and a payload byte cap.
+  // Stored entries in keep order (service/eviction.h): the entries a
+  // restarted store would evict last come first, so a cold peer pulling a
+  // prefix adopts exactly the entries most worth keeping. Paged by entry
+  // count (limit/offset) and a payload byte cap.
   std::vector<StoreEntryInfo> rows = store_.snapshot();
-  std::sort(rows.begin(), rows.end(),
-            [](const StoreEntryInfo& a, const StoreEntryInfo& b) {
-              const double sa = static_cast<double>(a.cost) /
-                                static_cast<double>(std::max<std::int64_t>(1, a.bytes));
-              const double sb = static_cast<double>(b.cost) /
-                                static_cast<double>(std::max<std::int64_t>(1, b.bytes));
-              if (sa != sb) return sa > sb;
-              if (a.seq != b.seq) return a.seq < b.seq;
-              return a.key < b.key;
-            });
+  sort_keep_order(rows.begin(), rows.end(), [](const StoreEntryInfo& row) {
+    return CacheMeta{row.bytes, row.cost, row.seq};
+  });
 
   JsonValue page = JsonValue::make_object();
   page.set("total", JsonValue::make_int(static_cast<std::int64_t>(rows.size())));
@@ -232,9 +217,20 @@ int Server::warm_from_peer(const std::string& endpoint) {
     return Client::connect_tcp(endpoint.substr(0, colon), port, copts);
   }();
 
+  // The stream is best-first, so past a full cache every entry would evict
+  // a better one already adopted: each cache keeps the prefix that fits,
+  // and pulling stops once neither has room.
+  const auto memory_full = [&] {
+    return static_cast<std::int64_t>(memory_cache_.size()) >=
+           options_.memory_max_entries;
+  };
+  const auto store_full = [&] {
+    return store_mode_ != StoreMode::kOk ||
+           store_.entries() >= options_.store_max_entries;
+  };
   int adopted = 0;
   std::int64_t offset = 0;
-  for (;;) {
+  while (!memory_full() || !store_full()) {
     const std::string response = client.roundtrip(
         cat("{\"op\": \"pull\", \"offset\": ", offset, ", \"limit\": 256}"));
     const JsonValue doc = parse_json(response);
@@ -265,9 +261,11 @@ int Server::warm_from_peer(const std::string& endpoint) {
       // Integrity gate: adopt only bytes that hash to what the peer
       // claimed — a torn frame or buggy peer must not seed this store.
       if (payload_hash(payload->as_string()) != hash->as_string()) continue;
-      cache_insert(key->as_string(), payload->as_string(), cost->as_int());
-      store_put(key->as_string(), payload->as_string(), cost->as_int());
-      ++adopted;
+      const bool memory_room = !memory_full();
+      const bool store_room = !store_full();
+      if (memory_room) cache_insert(key->as_string(), payload->as_string(), cost->as_int());
+      if (store_room) store_put(key->as_string(), payload->as_string(), cost->as_int());
+      if (memory_room || store_room) ++adopted;
     }
     if (entries->items().empty() || next_offset->as_int() >= total->as_int() ||
         next_offset->as_int() <= offset) {
@@ -294,24 +292,11 @@ const Server::ResolvedVariant& Server::resolve_variant(const std::string& kernel
     base = parse_kernel(kernel_field);
     variant->display_name = base.name();
   } else {
-    const std::string key = canon_name(kernel_field);
-    bool found = false;
-    if (key == "example") {
-      base = kernels::paper_example();
-      variant->display_name = "example";
-      found = true;
-    } else {
-      for (kernels::NamedKernel& nk : kernels::all_kernels()) {
-        if (canon_name(nk.name) == key) {
-          base = std::move(nk.kernel);
-          variant->display_name = nk.name;
-          found = true;
-          break;
-        }
-      }
-    }
-    check(found, cat("unknown kernel '", kernel_field,
-                     "' (want a builtin name or inline kernel-DSL text)"));
+    std::optional<kernels::NamedKernel> builtin = kernels::find_builtin(kernel_field);
+    check(builtin.has_value(), cat("unknown kernel '", kernel_field,
+                                   "' (want a builtin name or inline kernel-DSL text)"));
+    base = std::move(builtin->kernel);
+    variant->display_name = std::move(builtin->name);
   }
 
   std::vector<LoopTransform> sequence;
@@ -334,41 +319,15 @@ const Server::ResolvedVariant& Server::resolve_variant(const std::string& kernel
 void Server::cache_insert(const std::string& key, const std::string& payload,
                           std::int64_t cost) {
   if (memory_cache_.count(key) != 0) return;
-  // Same eviction policy as the persistent store: lowest recompute-cost-
-  // per-byte score first, ties least-recently-used, then oldest arrival —
-  // so an expensive frontier/BB-RA payload outlives cheap budget points in
-  // memory too.
   while (static_cast<std::int64_t>(memory_cache_.size()) >=
              options_.memory_max_entries &&
          !memory_cache_.empty()) {
-    auto victim = memory_cache_.begin();
-    double victim_score = 0.0;
-    bool first = true;
-    for (auto it = memory_cache_.begin(); it != memory_cache_.end(); ++it) {
-      const MemEntry& e = it->second;
-      const double score =
-          static_cast<double>(e.cost) /
-          static_cast<double>(std::max<std::int64_t>(1, static_cast<std::int64_t>(
-                                                            e.payload.size())));
-      const bool better =
-          first || score < victim_score ||
-          (score == victim_score &&
-           (e.last_use < victim->second.last_use ||
-            (e.last_use == victim->second.last_use && e.seq < victim->second.seq)));
-      if (better) {
-        victim = it;
-        victim_score = score;
-        first = false;
-      }
-    }
-    memory_cache_.erase(victim);
+    memory_cache_.erase(eviction_ends(memory_cache_, &MemEntry::meta).first);
   }
-  MemEntry entry;
-  entry.payload = payload;
-  entry.cost = std::max<std::int64_t>(1, cost);
-  entry.last_use = ++memory_tick_;
-  entry.seq = ++memory_seq_;
-  memory_cache_.emplace(key, std::move(entry));
+  const std::int64_t tick = ++memory_tick_;
+  memory_cache_.emplace(
+      key, MemEntry{payload, CacheMeta{static_cast<std::int64_t>(payload.size()),
+                                       std::max<std::int64_t>(1, cost), tick, tick}});
 }
 
 std::vector<std::string> Server::handle_batch(const std::vector<std::string>& requests) {
@@ -436,7 +395,7 @@ std::vector<std::string> Server::handle_batch(const std::vector<std::string>& re
     if (mem != memory_cache_.end()) {
       slot.hit = true;
       slot.payload = mem->second.payload;
-      mem->second.last_use = ++memory_tick_;
+      mem->second.meta.last_use = ++memory_tick_;
       continue;
     }
     std::int64_t stored_cost = 1;
@@ -527,23 +486,6 @@ std::vector<std::string> Server::handle_batch(const std::vector<std::string>& re
     if (!slot.ok) {
       ++stats_.errors;
       responses[i] = make_error_response(slot.request.id, slot.error);
-      continue;
-    }
-    if (slot.request.op == RequestOp::kStats) {
-      JsonValue stats = JsonValue::make_object();
-      stats.set("jobs", JsonValue::make_int(pool_.jobs()));
-      stats.set("requests", JsonValue::make_int(stats_.requests));
-      stats.set("queries", JsonValue::make_int(stats_.queries));
-      stats.set("hits", JsonValue::make_int(stats_.hits));
-      stats.set("misses", JsonValue::make_int(stats_.misses));
-      stats.set("computed", JsonValue::make_int(stats_.computed));
-      stats.set("coalesced", JsonValue::make_int(stats_.coalesced));
-      stats.set("errors", JsonValue::make_int(stats_.errors));
-      stats.set("store_enabled", JsonValue::make_bool(store_.enabled()));
-      stats.set("store_entries", JsonValue::make_int(store_.entries()));
-      stats.set("store_evictions", JsonValue::make_int(store_.evictions()));
-      stats.set("store_corrupt_dropped", JsonValue::make_int(store_.corrupt_dropped()));
-      responses[i] = make_value_response(slot.request.id, "stats", stats);
       continue;
     }
     if (slot.request.op == RequestOp::kHealth) {

@@ -13,7 +13,7 @@
 // Responses are therefore byte-identical for any jobs value and any
 // arrival order of the same request multiset against the same starting
 // store (tested in test_service.cc); only the opt-in "timing" field and the
-// stats op break that, by design.
+// health op break that, by design.
 //
 // The serve loops (stdio frames, Unix socket, TCP) all feed handle_batch:
 // one readiness sweep = one batch.
@@ -64,7 +64,7 @@ enum class StoreMode {
   kDegraded,  ///< compute-only after repeated failures; probing its way back
 };
 
-/// Monotonic service counters (the "stats" and "health" ops report these).
+/// Monotonic service counters (the "health" op reports these).
 struct ServerStats {
   std::int64_t requests = 0;   ///< frames handled (all ops)
   std::int64_t queries = 0;    ///< query-op requests
@@ -113,10 +113,13 @@ class Server {
 
   /// Streams the peer's stored entries into this daemon's store and memory
   /// cache via paged `op:"pull"` requests, best-scoring entries first, so a
-  /// fresh shard answers warm from its first request (DESIGN.md §15).
+  /// fresh shard answers warm from its first request (DESIGN.md §15). Each
+  /// cache adopts the longest prefix that fits under its cap, so smaller
+  /// caps keep the peer's best entries; pulling stops when both are full.
   /// `endpoint` is a Unix socket path (contains '/') or "host:port".
-  /// Returns the number of entries adopted; throws srra::Error when the
-  /// peer cannot be reached (callers typically warn and serve cold).
+  /// Returns the number of entries adopted into at least one cache; throws
+  /// srra::Error when the peer cannot be reached (callers typically warn
+  /// and serve cold).
   int warm_from_peer(const std::string& endpoint);
 
   const ServerStats& stats() const { return stats_; }
@@ -128,13 +131,11 @@ class Server {
   struct ResolvedVariant;  // memoized (kernel text, transforms) resolution
   struct Slot;             // per-request batch state
 
-  /// One in-memory payload-cache entry; evicted by the same
-  /// recompute-cost-per-byte policy as the persistent store.
+  /// One in-memory payload-cache entry, evicted by the store's policy
+  /// (service/eviction.h).
   struct MemEntry {
     std::string payload;
-    std::int64_t cost = 1;
-    std::int64_t last_use = 0;
-    std::int64_t seq = 0;
+    CacheMeta meta;
   };
 
   const ResolvedVariant& resolve_variant(const std::string& kernel_field,
@@ -150,7 +151,7 @@ class Server {
   void store_put(const std::string& key, const std::string& payload,
                  std::int64_t cost);
   std::string health_response(const std::string& id);
-  /// One `op:"pull"` page: stored entries ordered best-score-first, each
+  /// One `op:"pull"` page: stored entries in keep order (eviction.h), each
   /// payload carried as a JSON string (verbatim bytes) with its hash.
   std::string pull_response(const Request& request);
   int serve_fd(int listen_fd);
@@ -165,8 +166,7 @@ class Server {
   int puts_since_probe_ = 0;
 
   std::unordered_map<std::string, MemEntry> memory_cache_;
-  std::int64_t memory_tick_ = 0;  ///< LRU clock of the payload cache
-  std::int64_t memory_seq_ = 0;   ///< arrival order of the payload cache
+  std::int64_t memory_tick_ = 0;  ///< LRU clock; an entry's seq is its first tick
 
   std::unordered_map<std::string, std::unique_ptr<ResolvedVariant>> variants_;
 };

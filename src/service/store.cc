@@ -136,11 +136,6 @@ bool write_then_rename(const fs::path& path, const std::string& bytes, bool dura
   return true;
 }
 
-double entry_score(std::int64_t cost, std::int64_t bytes) {
-  return static_cast<double>(cost) /
-         static_cast<double>(std::max<std::int64_t>(1, bytes));
-}
-
 }  // namespace
 
 // The cross-process mutation lease: flock(LOCK_EX) on <dir>/LOCK for the
@@ -285,13 +280,13 @@ bool ResultStore::load_index() {
   // journal was wiped or truncated behind it: distrust the snapshot.
   struct stat st {};
   if (::fstat(journal_fd_, &st) != 0 || st.st_size < covered) return false;
-  std::unordered_map<std::string, Meta> rows;
+  std::unordered_map<std::string, CacheMeta> rows;
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     std::istringstream row(line);
     std::string key;
-    Meta meta;
+    CacheMeta meta;
     row >> key >> meta.bytes >> meta.cost >> meta.seq;
     if (!row || !valid_key(key) || meta.bytes < 0 || meta.cost < 1 ||
         meta.seq < 1) {
@@ -345,7 +340,7 @@ void ResultStore::apply_journal_line(const std::string& line) {
   in >> op;
   if (op == "P") {
     std::string key;
-    Meta meta;
+    CacheMeta meta;
     in >> key >> meta.bytes >> meta.cost >> meta.seq;
     if (!in || !valid_key(key) || meta.bytes < 0 || meta.cost < 1 || meta.seq < 1) {
       return;
@@ -416,7 +411,7 @@ bool ResultStore::reconcile_with_directory() {
     // Orphan entry: a crash between the rename and the journal append
     // (store.write.publish). Adopt it from its own header, and journal the
     // put the crash owed, so live peers converge too.
-    Meta meta;
+    CacheMeta meta;
     if (read_entry_meta(key, &meta)) {
       index_[key] = meta;
       next_seq_ = std::max(next_seq_, meta.seq + 1);
@@ -443,7 +438,7 @@ bool ResultStore::reconcile_with_directory() {
   return adopted;
 }
 
-bool ResultStore::read_entry_meta(const std::string& key, Meta* meta) const {
+bool ResultStore::read_entry_meta(const std::string& key, CacheMeta* meta) const {
   const int fd = ::open(entry_path(key).c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) return false;
   char buf[160];  // a v2 header line is < 100 bytes
@@ -481,13 +476,13 @@ bool ResultStore::read_entry_meta(const std::string& key, Meta* meta) const {
   if (st.st_size != static_cast<off_t>(eol + 1 + static_cast<std::size_t>(bytes))) {
     return false;
   }
-  *meta = Meta{bytes, cost, seq, 0};
+  *meta = CacheMeta{bytes, cost, seq, 0};
   return true;
 }
 
 void ResultStore::write_index_snapshot() {
   if (!enabled()) return;
-  std::vector<const std::pair<const std::string, Meta>*> rows;
+  std::vector<const std::pair<const std::string, CacheMeta>*> rows;
   rows.reserve(index_.size());
   for (const auto& row : index_) rows.push_back(&row);
   std::sort(rows.begin(), rows.end(), [](const auto* a, const auto* b) {
@@ -573,7 +568,7 @@ bool ResultStore::put(const std::string& key, const std::string& payload,
   // their next open.
   journal_append(cat("P ", key, ' ', payload.size(), ' ', cost, ' ', seq));
   index_[key] =
-      Meta{static_cast<std::int64_t>(payload.size()), cost, seq, ++tick_};
+      CacheMeta{static_cast<std::int64_t>(payload.size()), cost, seq, ++tick_};
   if (++mutations_ >= kSnapshotEvery) write_index_snapshot();
   return true;
 }
@@ -581,24 +576,10 @@ bool ResultStore::put(const std::string& key, const std::string& payload,
 void ResultStore::evict_for_insert() {
   while (static_cast<std::int64_t>(index_.size()) >= options_.max_entries &&
          !index_.empty()) {
-    auto victim = index_.begin();
-    double max_score = entry_score(victim->second.cost, victim->second.bytes);
-    for (auto it = std::next(index_.begin()); it != index_.end(); ++it) {
-      const double score = entry_score(it->second.cost, it->second.bytes);
-      max_score = std::max(max_score, score);
-      const double victim_score =
-          entry_score(victim->second.cost, victim->second.bytes);
-      if (score < victim_score ||
-          (score == victim_score &&
-           (it->second.last_use < victim->second.last_use ||
-            (it->second.last_use == victim->second.last_use &&
-             it->second.seq < victim->second.seq)))) {
-        victim = it;
-      }
-    }
+    const auto [victim, best] = eviction_ends(index_);
     // Classification: did the cost/bytes score single this victim out, or
     // did recency break a tie between equals?
-    if (entry_score(victim->second.cost, victim->second.bytes) < max_score) {
+    if (victim->second.score() < best->second.score()) {
       ++evicted_by_cost_;
     } else {
       ++evicted_lru_;

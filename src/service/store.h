@@ -19,10 +19,8 @@
 //  * version migration — a FORMAT stamp from another version clears the
 //    store (cold restart) instead of serving payloads of a stale schema;
 //  * bounded size — at most max_entries entries; inserting past the cap
-//    evicts the entry with the lowest recompute-cost-per-byte score
-//    (`score = cost / bytes`), ties broken least-recently-used first, then
-//    by arrival sequence number — so a frontier or BB-RA entry (~100x the
-//    recompute cost of a single-budget point) outlives cheap entries;
+//    evicts by the policy of service/eviction.h (lowest cost-per-byte
+//    score, then least recently used, then oldest arrival);
 //  * deterministic order — arrival sequence numbers are persisted in the
 //    entry header and the index, so eviction order survives restarts
 //    regardless of filesystem timestamp resolution (no mtime involved);
@@ -58,6 +56,8 @@
 #include <string>
 #include <unordered_map>
 #include <vector>
+
+#include "service/eviction.h"
 
 namespace srra::service {
 
@@ -147,13 +147,6 @@ class ResultStore {
   bool open_failed() const { return open_failed_; }
 
  private:
-  struct Meta {
-    std::int64_t bytes = 0;
-    std::int64_t cost = 1;
-    std::int64_t seq = 0;
-    std::int64_t last_use = 0;  ///< process-local LRU tick (not persisted)
-  };
-
   std::string entry_path(const std::string& key) const;
   std::string index_path() const;
   std::string journal_path() const;
@@ -172,7 +165,7 @@ class ResultStore {
   /// it adopted at least one orphan.
   bool reconcile_with_directory();
   /// Reads and validates one entry header; fills `meta` (last_use = 0).
-  bool read_entry_meta(const std::string& key, Meta* meta) const;
+  bool read_entry_meta(const std::string& key, CacheMeta* meta) const;
   void write_index_snapshot();
   /// Evicts until one insert fits; under the held lease.
   void evict_for_insert();
@@ -181,7 +174,7 @@ class ResultStore {
 
   std::string dir_;
   StoreOptions options_;
-  std::unordered_map<std::string, Meta> index_;
+  std::unordered_map<std::string, CacheMeta> index_;
   int lock_fd_ = -1;
   int journal_fd_ = -1;
   std::int64_t journal_offset_ = 0;  ///< journal bytes already applied

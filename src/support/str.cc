@@ -66,6 +66,14 @@ bool starts_with(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
 }
 
+std::string spelling_key(std::string_view name) {
+  std::string key;
+  for (const char c : name) {
+    key += c == '-' ? '_' : static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  return key;
+}
+
 std::string with_commas(long long value) {
   const bool negative = value < 0;
   unsigned long long magnitude =

@@ -52,6 +52,10 @@ std::string to_percent(double ratio, int digits = 1);
 /// True if `text` starts with `prefix`.
 bool starts_with(std::string_view text, std::string_view prefix);
 
+/// `name` lower-cased with '-' folded to '_': the key that user-typed names
+/// (kernels, kernel and algorithm sets) are matched by.
+std::string spelling_key(std::string_view name);
+
 /// Formats an integer with thousands separators: 1234567 -> "1,234,567".
 std::string with_commas(long long value);
 

@@ -91,24 +91,14 @@ TEST(Cli, ReportsAreByteIdenticalAcrossJobs) {
 TEST(Cli, PerPointOracleIsByteIdenticalToFrontier) {
   const std::vector<std::string> base{"sweep", "--kernel=example,fir",
                                       "--budgets=8:64", "--algos=all", "--format=csv"};
-  std::vector<std::string> frontier = base;
-  frontier.push_back("--frontier");
   std::vector<std::string> per_point = base;
   per_point.push_back("--per-point");
   const CliResult d = run(base);
-  const CliResult f = run(frontier);
   const CliResult p = run(per_point);
   ASSERT_EQ(d.code, 0) << d.err;
-  ASSERT_EQ(f.code, 0) << f.err;
   ASSERT_EQ(p.code, 0) << p.err;
-  EXPECT_EQ(d.out, f.out);  // frontier is the default
-  EXPECT_EQ(f.out, p.out);  // and byte-identical to the per-point oracle
-  EXPECT_FALSE(f.out.empty());
-
-  std::vector<std::string> both = base;
-  both.push_back("--frontier");
-  both.push_back("--per-point");
-  EXPECT_NE(run(both).code, 0);  // mutually exclusive
+  EXPECT_EQ(d.out, p.out);  // the default frontier path == the per-point oracle
+  EXPECT_FALSE(d.out.empty());
 
   EXPECT_NE(run({"run", "--kernel=example", "--per-point"}).code, 0);
 }

@@ -403,7 +403,7 @@ TEST(Degrade, FreshStoreOnFullDiskStillServesQueries) {
 
 TEST(Framing, EveryTruncatedPrefixFailsCleanly) {
   std::ostringstream frame;
-  write_frame(frame, R"({"op": "stats"})");
+  write_frame(frame, R"({"op": "health"})");
   const std::string bytes = frame.str();
   for (std::size_t keep = 1; keep < bytes.size(); ++keep) {
     std::istringstream in(bytes.substr(0, keep));
@@ -598,9 +598,9 @@ TEST(ClientRetry, ReconnectsResendsAndIsNotRecomputed) {
   const JsonValue doc = parse_json(response);
   EXPECT_TRUE(member(doc, "ok")->as_bool());
 
-  const std::string stats_response = client.roundtrip(R"({"op": "stats"})");
-  const JsonValue stats = *member(parse_json(stats_response), "stats");
-  EXPECT_EQ(member(stats, "computed")->as_int(), 1);
+  const std::string health_response = client.roundtrip(R"({"op": "health"})");
+  const JsonValue health = *member(parse_json(health_response), "health");
+  EXPECT_EQ(member(health, "computed")->as_int(), 1);
 
   client.roundtrip(R"({"op": "shutdown"})");
   daemon.join();

@@ -3,6 +3,10 @@
 // (conv2d, matvec) have the expected reuse structure.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include "core/registry.h"
 #include "ir/parser.h"
 #include "kernels/kernels.h"
@@ -70,9 +74,35 @@ TEST(Kernels, ExtrasVerifyUnderCpa) {
 }
 
 TEST(Kernels, DescriptionsNonEmpty) {
-  for (const auto& nk : kernels::all_kernels()) {
+  for (const auto& nk : kernels::builtin_kernels()) {
     EXPECT_FALSE(nk.description.empty()) << nk.name;
   }
+}
+
+// The one spelling rule the CLI and the service share: case-folded, '-' and
+// '_' interchangeable, "mmt" an alias of "mat". The display name comes back
+// unchanged, because the service hashes it into its cache keys.
+TEST(Kernels, FindBuiltinFoldsSpellingsToTheDisplayName) {
+  const std::vector<std::pair<const char*, const char*>> spellings = {
+      {"example", "example"}, {"EXAMPLE", "example"}, {"fir", "FIR"},
+      {"Dec-FIR", "Dec-FIR"}, {"dec_fir", "Dec-FIR"}, {"DEC-fir", "Dec-FIR"},
+      {"mat", "MAT"},         {"mmt", "MAT"},         {"MMT", "MAT"},
+      {"conv2d", "CONV2D"},   {"matvec", "MATVEC"},
+  };
+  for (const auto& [spelling, display] : spellings) {
+    const std::optional<kernels::NamedKernel> nk = kernels::find_builtin(spelling);
+    ASSERT_TRUE(nk.has_value()) << spelling;
+    EXPECT_EQ(nk->name, display) << spelling;
+  }
+  EXPECT_EQ(structural_hash(kernels::find_builtin("mmt")->kernel),
+            structural_hash(kernels::mat()));
+  EXPECT_EQ(structural_hash(kernels::find_builtin("Example")->kernel),
+            structural_hash(kernels::paper_example()));
+  for (const char* unknown : {"", "paper", "all", "fir2", "mm_t", "m-a-t"}) {
+    EXPECT_FALSE(kernels::find_builtin(unknown).has_value()) << unknown;
+  }
+  ASSERT_EQ(kernels::builtin_kernels().size(), 9u);
+  EXPECT_EQ(kernels::builtin_kernels().front().name, "example");
 }
 
 }  // namespace

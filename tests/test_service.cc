@@ -15,14 +15,17 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "dse/cli.h"
 #include "kernels/kernels.h"
 #include "service/client.h"
+#include "service/eviction.h"
 #include "service/proto.h"
 #include "service/server.h"
 #include "service/store.h"
@@ -67,6 +70,18 @@ std::string cache_status(const std::string& response) {
 std::string cache_key_of(const std::string& response) {
   const JsonValue doc = parse_json(response);
   return member(*member(doc, "cache"), "key")->as_string();
+}
+
+// warm_from_peer, retried until the peer's serve thread is listening.
+int warm_when_listening(Server& server, const std::string& peer_path) {
+  for (int attempt = 0;; ++attempt) {
+    try {
+      return server.warm_from_peer(peer_path);
+    } catch (const Error&) {
+      if (attempt > 100) throw;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
 }
 
 // ------------------------------------------------------------------ framing
@@ -116,7 +131,8 @@ TEST(Proto, ExtractFrameIsIncremental) {
 
 TEST(Proto, ParseRequestValidates) {
   EXPECT_EQ(parse_request(R"({"kernel": "fir"})").kernel, "fir");
-  EXPECT_EQ(parse_request(R"({"op": "stats"})").op, RequestOp::kStats);
+  EXPECT_EQ(parse_request(R"({"op": "health"})").op, RequestOp::kHealth);
+  EXPECT_THROW(parse_request(R"({"op": "stats"})"), Error);  // folded into health
 
   EXPECT_THROW(parse_request("not json"), Error);
   EXPECT_THROW(parse_request(R"([1, 2])"), Error);              // not an object
@@ -132,7 +148,75 @@ TEST(Proto, ParseRequestValidates) {
       Error);  // frontier takes budgets
   EXPECT_THROW(parse_request(R"({"kernel": "fir", "budgets": "8:32"})"),
                Error);  // budget mode takes budget
-  EXPECT_THROW(parse_request(R"({"op": "stats", "kernel": "fir"})"), Error);
+  EXPECT_THROW(parse_request(R"({"op": "health", "kernel": "fir"})"), Error);
+}
+
+// ---------------------------------------------------------- eviction policy
+
+TEST(Eviction, RankIsScoreThenLeastRecentlyUsedThenArrival) {
+  // CacheMeta is {bytes, cost, seq, last_use}.
+  const CacheMeta cheap{100, 1, 9, 9};     // score 0.01, newest and hottest
+  const CacheMeta pricey{100, 100, 1, 1};  // score 1, oldest and coldest
+  EXPECT_TRUE(evicts_before(cheap, pricey));  // the score decides first
+  EXPECT_FALSE(evicts_before(pricey, cheap));
+  const CacheMeta cold{100, 1, 9, 2};
+  const CacheMeta hot{100, 1, 1, 5};
+  EXPECT_TRUE(evicts_before(cold, hot));  // equal score: least recently used
+  EXPECT_FALSE(evicts_before(hot, cold));
+  const CacheMeta older{100, 1, 3, 4};
+  const CacheMeta newer{100, 1, 4, 4};
+  EXPECT_TRUE(evicts_before(older, newer));  // then oldest arrival
+  EXPECT_FALSE(evicts_before(newer, older));
+  EXPECT_FALSE(evicts_before(older, older));  // a strict order
+  // Cost per byte, an empty payload counting as one byte.
+  EXPECT_DOUBLE_EQ((CacheMeta{4, 2, 1, 0}.score()), 0.5);
+  EXPECT_DOUBLE_EQ((CacheMeta{0, 7, 1, 0}.score()), 7.0);
+}
+
+// The split behind the store's evicted_by_cost / evicted_lru counters: an
+// eviction counts as by-cost exactly when the victim scores below the
+// entry that would be evicted last.
+TEST(Eviction, EndsSplitTheVictimFromTheLastEntryOut) {
+  std::map<std::string, CacheMeta> entries = {
+      {"a", {100, 1, 1, 3}}, {"b", {100, 100, 2, 1}}, {"c", {100, 1, 3, 2}}};
+  auto [victim, last_out] = eviction_ends(entries);
+  EXPECT_EQ(victim->first, "c");    // cheap and least recently used
+  EXPECT_EQ(last_out->first, "b");  // the expensive one outlives both
+  EXPECT_LT(victim->second.score(), last_out->second.score());  // by cost
+
+  entries.erase("b");  // equal scores left: recency alone picks the victim
+  std::tie(victim, last_out) = eviction_ends(entries);
+  EXPECT_EQ(victim->first, "c");
+  EXPECT_EQ(last_out->first, "a");
+  EXPECT_EQ(victim->second.score(), last_out->second.score());  // LRU
+
+  // Equal in every field: the first in iteration order goes first.
+  entries = {{"x", {10, 1, 1, 1}}, {"y", {10, 1, 1, 1}}};
+  EXPECT_EQ(eviction_ends(entries).first->first, "x");
+
+  // A projection reaches metadata stored inside a larger value.
+  struct Wrapped {
+    CacheMeta meta;
+  };
+  std::map<int, Wrapped> wrapped = {{1, {{10, 5, 1, 1}}}, {2, {{10, 1, 2, 2}}}};
+  EXPECT_EQ(eviction_ends(wrapped, &Wrapped::meta).first->first, 2);
+}
+
+TEST(Eviction, KeepOrderIsTheReverseRankWithoutRecency) {
+  struct Row {
+    std::string key;
+    CacheMeta meta;
+  };
+  std::vector<Row> rows = {
+      {"cheap-old-hot", {100, 1, 1, 50}},  // recency cannot lift it
+      {"pricey", {100, 100, 2, 0}},
+      {"cheap-new", {100, 1, 3, 0}},
+  };
+  sort_keep_order(rows.begin(), rows.end(), &Row::meta);
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0].key, "pricey");     // score descending,
+  EXPECT_EQ(rows[1].key, "cheap-new");  // then newest arrival
+  EXPECT_EQ(rows[2].key, "cheap-old-hot");
 }
 
 // ----------------------------------------------------------------- the store
@@ -623,6 +707,19 @@ TEST(Server, PullOpPagesStoredEntriesBestScoreFirst) {
   EXPECT_EQ(member(pull2, "entries")->items().size(), 1u);
   EXPECT_EQ(member(pull2, "next_offset")->as_int(), 3);
 
+  // Equal cost and size: the newest arrival leads. That is the reverse of
+  // eviction order with recency left out, the order a restarted peer keeps.
+  const std::string older(16, '0');  // key order would put it first
+  const std::string newer(16, 'f');
+  const std::string payload(8, 'p');  // score 100/8 tops all three queries
+  ASSERT_TRUE(server.store().put(older, payload, /*cost=*/100));
+  ASSERT_TRUE(server.store().put(newer, payload, /*cost=*/100));
+  const JsonValue tied = parse_json(server.handle(R"({"op": "pull", "limit": 2})"));
+  const JsonValue& tied_entries = *member(*member(tied, "pull"), "entries");
+  ASSERT_EQ(tied_entries.items().size(), 2u);
+  EXPECT_EQ(member(tied_entries.items()[0], "key")->as_string(), newer);
+  EXPECT_EQ(member(tied_entries.items()[1], "key")->as_string(), older);
+
   // Pull requests take no query members; queries take no pull members.
   EXPECT_FALSE(
       member(parse_json(server.handle(R"({"op": "pull", "kernel": "fir"})")), "ok")
@@ -656,17 +753,7 @@ TEST(Server, WarmFromPeerServesByteIdenticalAnswersOnFirstPass) {
   cold_options.jobs = 1;
   cold_options.store_dir = dir + "/store-b";
   Server cold(cold_options);
-  const int adopted = [&] {
-    for (int attempt = 0;; ++attempt) {
-      try {
-        return cold.warm_from_peer(path);
-      } catch (const Error&) {
-        if (attempt > 100) throw;
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      }
-    }
-  }();
-  EXPECT_EQ(adopted, 3);
+  EXPECT_EQ(warm_when_listening(cold, path), 3);
   EXPECT_EQ(cold.store().entries(), 3);
 
   // First pass on the warmed daemon: all hits, zero computes, and the
@@ -677,6 +764,50 @@ TEST(Server, WarmFromPeerServesByteIdenticalAnswersOnFirstPass) {
     EXPECT_EQ(member(parse_json(response), "query")->to_string(), expected[i]);
   }
   EXPECT_EQ(cold.stats().computed, 0);
+
+  Client shutdown_client = Client::connect_unix(path);
+  shutdown_client.roundtrip(R"({"op": "shutdown"})");
+  daemon.join();
+}
+
+// The pull stream is best-first, so a daemon with smaller caps must keep
+// its prefix: past a full cache, each later entry would evict a better one
+// already adopted.
+TEST(Server, WarmFromPeerIntoSmallerCachesKeepsTheBestEntries) {
+  const std::string dir = fresh_store("warm_small");
+  fs::create_directories(dir);
+  const std::string path = dir + "/peer.sock";
+
+  ServerOptions peer_options;
+  peer_options.jobs = 1;
+  peer_options.store_dir = dir + "/store-a";
+  Server peer(peer_options);
+  // Scores, cost per payload byte: 100/529 = 0.189 for the best, 1/542 =
+  // 0.001845 for the worst and 1/535 = 0.001869 for the second.
+  const std::string best = query("mat", "bnb", 48);
+  const std::string worst = query("fir", "cpa", 64);
+  const std::string second = query("imi", "cpa", 32);
+  std::vector<std::string> kept_keys = {cache_key_of(peer.handle(best))};
+  peer.handle(worst);
+  kept_keys.push_back(cache_key_of(peer.handle(second)));
+  std::thread daemon([&] { peer.serve_unix(path); });
+
+  ServerOptions small_options;
+  small_options.jobs = 1;
+  small_options.store_dir = dir + "/store-b";
+  small_options.store_max_entries = 2;
+  small_options.memory_max_entries = 2;
+  Server small(small_options);
+  EXPECT_EQ(warm_when_listening(small, path), 2);
+
+  std::vector<std::string> stored;
+  for (const StoreEntryInfo& row : small.store().snapshot()) stored.push_back(row.key);
+  std::sort(kept_keys.begin(), kept_keys.end());
+  EXPECT_EQ(stored, kept_keys);
+  EXPECT_EQ(cache_status(small.handle(best)), "hit");
+  EXPECT_EQ(cache_status(small.handle(second)), "hit");
+  EXPECT_EQ(small.stats().computed, 0);
+  EXPECT_EQ(cache_status(small.handle(worst)), "miss");
 
   Client shutdown_client = Client::connect_unix(path);
   shutdown_client.roundtrip(R"({"op": "shutdown"})");
