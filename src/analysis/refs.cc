@@ -1,5 +1,7 @@
 #include "analysis/refs.h"
 
+#include <algorithm>
+
 #include "ir/printer.h"
 #include "support/error.h"
 #include "support/str.h"
@@ -62,6 +64,18 @@ std::vector<RefGroup> collect_ref_groups(const Kernel& kernel) {
     }
   }
   return groups;
+}
+
+std::vector<FlatOccurrence> flatten(const std::vector<RefGroup>& groups) {
+  std::vector<FlatOccurrence> flat;
+  for (const RefGroup& g : groups) {
+    for (const RefOccurrence& occ : g.occurrences) {
+      flat.push_back(FlatOccurrence{g.id, occ.stmt, occ.order, occ.is_write});
+    }
+  }
+  std::sort(flat.begin(), flat.end(),
+            [](const FlatOccurrence& a, const FlatOccurrence& b) { return a.order < b.order; });
+  return flat;
 }
 
 int total_occurrences(const std::vector<RefGroup>& groups) {

@@ -37,8 +37,20 @@ struct RefGroup {
   bool has_read() const { return reads_per_iter > 0; }
 };
 
+/// One entry of the flat occurrence list (flatten): an occurrence tagged
+/// with its group.
+struct FlatOccurrence {
+  int group = 0;
+  int stmt = 0;
+  int order = 0;
+  bool is_write = false;
+};
+
 /// Collects the reference groups of a kernel body in first-occurrence order.
 std::vector<RefGroup> collect_ref_groups(const Kernel& kernel);
+
+/// Every group's occurrences in one list, in evaluation order.
+std::vector<FlatOccurrence> flatten(const std::vector<RefGroup>& groups);
 
 /// Total number of reference occurrences per iteration across all groups.
 int total_occurrences(const std::vector<RefGroup>& groups);

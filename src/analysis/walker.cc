@@ -311,30 +311,6 @@ bool next_iteration(const Kernel& kernel, std::vector<std::int64_t>& iter) {
   return false;
 }
 
-namespace {
-
-// Flat evaluation-ordered list of occurrences across all groups.
-struct FlatOccurrence {
-  int group = 0;
-  int stmt = 0;
-  int order = 0;
-  bool is_write = false;
-};
-
-std::vector<FlatOccurrence> flatten(const std::vector<RefGroup>& groups) {
-  std::vector<FlatOccurrence> flat;
-  for (const RefGroup& g : groups) {
-    for (const RefOccurrence& occ : g.occurrences) {
-      flat.push_back(FlatOccurrence{g.id, occ.stmt, occ.order, occ.is_write});
-    }
-  }
-  std::sort(flat.begin(), flat.end(),
-            [](const FlatOccurrence& a, const FlatOccurrence& b) { return a.order < b.order; });
-  return flat;
-}
-
-}  // namespace
-
 std::vector<GroupCounts> simulate_accesses(const Kernel& kernel,
                                            const std::vector<RefGroup>& groups,
                                            const std::vector<ReuseInfo>& reuse,

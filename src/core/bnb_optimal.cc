@@ -1,15 +1,12 @@
 #include "core/bnb_optimal.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "core/optimal.h"
 
 namespace srra {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 // The search's static shape for one (model, budget): per position in a
 // pruning-friendly order, the group's staircase counts/costs, plus dense
@@ -111,26 +108,14 @@ struct Search {
   std::int64_t best_cost = 0;
   std::int64_t nodes = 0;
   bool aborted = false;
-  bool timed = false;
-  Clock::time_point deadline;
 
   Search(const SearchPlan& p, const BnbOptions& o) : plan(p), options(o) {
     current.resize(plan.group.size());
     best.resize(plan.group.size());
-    if (options.time_budget_ms > 0.0) {
-      timed = true;
-      deadline = Clock::now() +
-                 std::chrono::duration_cast<Clock::duration>(
-                     std::chrono::duration<double, std::milli>(options.time_budget_ms));
-    }
   }
 
   void dfs(std::size_t pos, std::int64_t extra_left, std::int64_t cost_so_far) {
     if (++nodes > options.max_nodes) {
-      aborted = true;
-      return;
-    }
-    if (timed && (nodes & 255) == 0 && Clock::now() >= deadline) {
       aborted = true;
       return;
     }

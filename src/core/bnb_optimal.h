@@ -20,7 +20,7 @@
 //
 // Incumbent: the DP-RA allocation, so the search starts one admissible
 // upper bound deep and the result is never worse than DP-RA. When the
-// search exhausts the space within the node/time budget the result carries
+// search exhausts the space within the node budget the result carries
 // certified = true: it is the per-budget optimum of the serial access
 // metric, the denominator of every heuristic's pinned gap-to-optimal
 // (tests/test_allocators.cc). On the paper-scale kernels (depth <= 3,
@@ -34,12 +34,10 @@
 
 namespace srra {
 
-/// Search budgets. The node budget is deterministic (same inputs, same
-/// result, byte-identical across --jobs); the wall-clock budget is a
-/// nondeterministic safety valve and is off by default.
+/// Search budget. A node count, never wall-clock time, so the result is
+/// deterministic: same inputs, same result, byte-identical across --jobs.
 struct BnbOptions {
   std::int64_t max_nodes = std::int64_t{1} << 20;  ///< expanded-node cap
-  double time_budget_ms = 0.0;                     ///< 0 = unlimited (default)
 };
 
 /// Outcome of one branch-and-bound run.

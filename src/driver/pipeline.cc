@@ -1,6 +1,7 @@
 #include "driver/pipeline.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "core/frontier.h"
 #include "support/str.h"
@@ -37,10 +38,10 @@ Kernel transform_for_pipeline(const Kernel& kernel,
 
 PeeledNest transform_nest_for_pipeline(const Kernel& kernel,
                                        srra::span<const LoopTransform> transforms) {
-  check(is_safe(kernel, transforms),
-        cat("transform sequence '", to_string(transforms), "' is illegal for kernel ",
-            kernel.name()));
-  return apply_peeled(kernel, transforms);
+  std::optional<PeeledNest> nest = apply_if_safe(kernel, transforms);
+  check(nest.has_value(), cat("transform sequence '", to_string(transforms),
+                              "' is illegal for kernel ", kernel.name()));
+  return std::move(*nest);
 }
 
 DesignPoint combine_pieces(std::vector<DesignPoint> pieces) {

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <unordered_set>
 
 #include "analysis/refs.h"
-#include "analysis/reuse.h"
 #include "dfg/dfg.h"
+#include "dse/candidate_tree.h"
 #include "sched/schedule.h"
 #include "support/error.h"
 #include "support/str.h"
@@ -14,93 +15,6 @@
 namespace srra::dse {
 
 namespace {
-
-// ---- Abstract candidate state ------------------------------------------
-//
-// Everything the bound needs about a transformed nest, maintained under
-// the transforms analytically: per-level trip counts and, per reference
-// group, the per-level element shift (the step-scaled access-matrix row).
-// Interchange permutes both, Tile splits a column, UnrollJam scales one —
-// no kernel is ever rewritten.
-
-struct AbsGroup {
-  std::vector<std::int64_t> shift;  ///< element shift per single loop step
-  int array = 0;
-  bool read_node = false;  ///< has a read that is not forwarded in-iteration
-  bool write = false;
-  std::int64_t mult = 1;  ///< structural copies made by unroll-and-jam
-};
-
-struct AbsState {
-  std::vector<std::int64_t> trips;
-  std::vector<AbsGroup> groups;
-  /// Iteration counts of the remainder nests peeled off so far (their body
-  /// is a snapshot of the main body, so the shared L0 floor applies).
-  std::vector<std::int64_t> epilogue_iterations;
-
-  std::int64_t main_iterations() const {
-    std::int64_t n = 1;
-    for (const std::int64_t t : trips) n *= t;
-    return n;
-  }
-};
-
-void apply_interchange_abs(AbsState& state, const std::vector<int>& perm) {
-  const auto permute = [&](const std::vector<std::int64_t>& in) {
-    std::vector<std::int64_t> out(in.size());
-    for (std::size_t l = 0; l < perm.size(); ++l) {
-      out[l] = in[static_cast<std::size_t>(perm[l])];
-    }
-    return out;
-  };
-  state.trips = permute(state.trips);
-  for (AbsGroup& g : state.groups) g.shift = permute(g.shift);
-}
-
-// Mirrors ir/transform.cc: a non-dividing size peels the remainder range
-// into an epilogue first; the main range then full-tiles into a tile loop
-// (stride scaled by `size`) over a point loop (original stride).
-void apply_tile_abs(AbsState& state, int level, std::int64_t size) {
-  const std::size_t l = static_cast<std::size_t>(level);
-  const std::int64_t rem = state.trips[l] % size;
-  if (rem != 0) {
-    state.epilogue_iterations.push_back(state.main_iterations() / state.trips[l] * rem);
-    state.trips[l] -= rem;
-  }
-  state.trips[l] /= size;
-  state.trips.insert(state.trips.begin() + static_cast<std::ptrdiff_t>(l) + 1, size);
-  for (AbsGroup& g : state.groups) {
-    const std::int64_t shift = g.shift[l];
-    g.shift[l] = shift * size;
-    g.shift.insert(g.shift.begin() + static_cast<std::ptrdiff_t>(l) + 1, shift);
-  }
-}
-
-void apply_unroll_jam_abs(AbsState& state, int level, std::int64_t factor) {
-  const std::size_t l = static_cast<std::size_t>(level);
-  for (AbsGroup& g : state.groups) {
-    // Copies whose subscripts move at the level become distinct groups; an
-    // invariant group's copies collapse back onto one syntactic pattern.
-    if (g.shift[l] != 0) g.mult *= factor;
-    g.shift[l] *= factor;
-  }
-  state.trips[l] /= factor;
-}
-
-void apply_abs(AbsState& state, const LoopTransform& t) {
-  switch (t.kind) {
-    case TransformKind::kInterchange:
-      apply_interchange_abs(state, t.perm);
-      return;
-    case TransformKind::kTile:
-      apply_tile_abs(state, t.level, t.amount);
-      return;
-    case TransformKind::kUnrollJam:
-      apply_unroll_jam_abs(state, t.level, t.amount);
-      return;
-  }
-  fail("unknown TransformKind");
-}
 
 // ---- Reuse-distance lower bound ----------------------------------------
 //
@@ -164,16 +78,9 @@ double distance_lb(const AbsState& state, const AbsGroup& group) {
 
 // ---- Bound-curve construction ------------------------------------------
 
-struct BaseSummary {
-  std::int64_t l0 = 0;  ///< empty-memory-profile schedule length of the body
-  AbsState initial;
-  bool reorder_safe = false;
-  /// Arrays some statement writes — fixed under every transform here.
-  std::vector<bool> written;
-};
-
-BaseSummary summarize(const Kernel& kernel, const CycleOptions& cycles) {
-  BaseSummary s;
+// The empty-memory-profile schedule length of the body: the compute part
+// of every iteration's cost, a floor for every rewrite (prune.h).
+std::int64_t body_schedule_length(const Kernel& kernel, const CycleOptions& cycles) {
   const std::vector<RefGroup> groups = collect_ref_groups(kernel);
   std::vector<int> array_of_group(groups.size());
   for (std::size_t g = 0; g < groups.size(); ++g) {
@@ -182,33 +89,15 @@ BaseSummary summarize(const Kernel& kernel, const CycleOptions& cycles) {
   const Dfg dfg = Dfg::build(kernel, groups);
   IterationProfile empty;
   empty.ram_access.assign(static_cast<std::size_t>(dfg.node_count()), false);
-  s.l0 = schedule_iteration(dfg, empty, array_of_group, cycles.latency);
-  s.initial.trips = kernel.trip_counts();
-  s.written.assign(kernel.arrays().size(), false);
-  for (const RefGroup& g : groups) {
-    if (g.writes_per_iter > 0) {
-      s.written[static_cast<std::size_t>(g.access.array_id)] = true;
-    }
-  }
-  for (const RefGroup& g : groups) {
-    AbsGroup ag;
-    ag.shift = access_shift_profile(kernel, g.access);
-    ag.array = g.access.array_id;
-    ag.read_node = g.reads_per_iter > g.forwarded_reads_per_iter;
-    ag.write = g.writes_per_iter > 0;
-    s.initial.groups.push_back(std::move(ag));
-  }
-  s.reorder_safe = reorder_is_safe(kernel);
-  return s;
+  return schedule_iteration(dfg, empty, array_of_group, cycles.latency);
 }
 
-BoundCurve make_curve(const AbsState& state, const BaseSummary& summary,
-                      const CycleOptions& cycles) {
+BoundCurve make_curve(const AbsState& state, std::int64_t l0, const CycleOptions& cycles) {
   BoundCurve curve;
   curve.main_iterations = state.main_iterations();
   std::int64_t total_iterations = curve.main_iterations;
   for (const std::int64_t e : state.epilogue_iterations) total_iterations += e;
-  curve.floor_cycles = total_iterations * (cycles.loop_overhead + summary.l0);
+  curve.floor_cycles = total_iterations * (cycles.loop_overhead + l0);
   curve.min_regs = 0;
   for (const AbsGroup& g : state.groups) curve.min_regs += g.mult;
 
@@ -313,155 +202,20 @@ std::int64_t BoundCurve::at(std::int64_t regs) const {
 
 BoundCurve bound_curve(const Kernel& kernel, srra::span<const LoopTransform> transforms,
                        const CycleOptions& cycles) {
-  const BaseSummary summary = summarize(kernel, cycles);
-  AbsState state = summary.initial;
+  AbsState state = abstract_state(kernel);
   for (const LoopTransform& t : transforms) apply_abs(state, t);
-  return make_curve(state, summary, cycles);
+  return make_curve(state, body_schedule_length(kernel, cycles), cycles);
 }
 
 namespace {
 
 // ---- Guided search ------------------------------------------------------
 
-std::string order_label(const Kernel& kernel) {
-  return cat("(", join(kernel.loop_names(), ","), ")");
-}
-
-std::uint64_t nest_hash(const PeeledNest& nest) {
-  std::uint64_t h = structural_hash(nest.main);
-  for (const Kernel& epilogue : nest.epilogues) {
-    h = h * 1099511628211ull ^ structural_hash(epilogue);
-  }
-  return h;
-}
-
 struct Candidate {
   std::vector<LoopTransform> sequence;
   BoundCurve curve;
   std::int64_t optimistic = 0;  ///< curve at the sweep's largest budget
   std::int64_t corner = 0;      ///< curve at the feasibility floor
-  std::int64_t gen_index = 0;
-};
-
-// Abstract mirror of dse/space.cc's VariantEnumerator: the same candidate
-// tree (source, explicit sequences, permutations x tile stacks x unroll
-// factors) walked over AbsState with *superset* legality — peeled-tile and
-// unroll-and-jam dependence conditions are deferred to materialization,
-// where the real is_safe filters them. Every node counts as generated.
-class AbstractEnumerator {
- public:
-  AbstractEnumerator(std::vector<Candidate>& out, SpaceStats& stats,
-                     const TransformSpec& spec, const std::string& kernel_name,
-                     const Kernel& base, const BaseSummary& summary,
-                     const CycleOptions& cycles, std::int64_t max_budget)
-      : out_(out),
-        stats_(stats),
-        spec_(spec),
-        kernel_name_(kernel_name),
-        base_(base),
-        summary_(summary),
-        cycles_(cycles),
-        max_budget_(max_budget) {}
-
-  void run() {
-    add(summary_.initial, {});
-    for (const std::vector<LoopTransform>& sequence : spec_.sequences) {
-      const srra::span<const LoopTransform> seq(sequence.data(), sequence.size());
-      check(is_safe(base_, seq), cat("transform sequence '", to_string(seq),
-                                     "' is illegal for kernel ", kernel_name_));
-      AbsState state = summary_.initial;
-      for (const LoopTransform& t : sequence) apply_abs(state, t);
-      add(state, sequence);
-    }
-
-    const int depth = base_.depth();
-    const bool permute = spec_.interchange && depth > 1 &&
-                         depth <= spec_.max_interchange_depth && summary_.reorder_safe;
-    std::vector<int> perm(static_cast<std::size_t>(depth));
-    std::iota(perm.begin(), perm.end(), 0);
-    do {
-      const bool identity = std::is_sorted(perm.begin(), perm.end());
-      if (identity) {
-        expand(summary_.initial, {}, /*add_bare=*/false, spec_.tile_depth);
-      } else {
-        const std::vector<LoopTransform> prefix{LoopTransform::interchange(perm)};
-        AbsState state = summary_.initial;
-        apply_abs(state, prefix.front());
-        expand(state, prefix, /*add_bare=*/true, spec_.tile_depth);
-      }
-    } while (permute && std::next_permutation(perm.begin(), perm.end()));
-  }
-
- private:
-  void expand(const AbsState& state, const std::vector<LoopTransform>& prefix,
-              bool add_bare, int tiles_left) {
-    if (add_bare) add(state, prefix);
-    add_unrolls(state, prefix);
-    if (tiles_left <= 0) return;
-    for (int level = 0; level < static_cast<int>(state.trips.size()); ++level) {
-      const std::int64_t trip = state.trips[static_cast<std::size_t>(level)];
-      for (const std::int64_t size : spec_.tile_sizes) {
-        if (size < 2 || size >= trip) continue;
-        std::vector<LoopTransform> sequence = prefix;
-        sequence.push_back(LoopTransform::tile(level, size));
-        AbsState tiled = state;
-        apply_tile_abs(tiled, level, size);
-        expand(tiled, sequence, /*add_bare=*/true, tiles_left - 1);
-      }
-    }
-  }
-
-  // Abstract mirror of the real unroll-and-jam write-invariance condition:
-  // every group touching a written array must be invariant at the unrolled
-  // level. shift[l] == 0 whenever the subscripts are invariant in l, so the
-  // abstract test accepts a superset of the real one (linearization can
-  // cancel varying subscripts to a zero shift; the real is_safe still runs
-  // at materialization). The dependence half (outer-level reorder) stays
-  // deferred — only the real check decides it.
-  bool unroll_invariance_holds(const AbsState& state, int level) const {
-    for (const AbsGroup& g : state.groups) {
-      if (summary_.written[static_cast<std::size_t>(g.array)] &&
-          g.shift[static_cast<std::size_t>(level)] != 0) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  void add_unrolls(const AbsState& state, const std::vector<LoopTransform>& prefix) {
-    for (int level = 0; level < static_cast<int>(state.trips.size()); ++level) {
-      const std::int64_t trip = state.trips[static_cast<std::size_t>(level)];
-      if (!unroll_invariance_holds(state, level)) continue;
-      for (const std::int64_t factor : spec_.unroll_factors) {
-        if (factor < 2 || trip % factor != 0) continue;
-        std::vector<LoopTransform> sequence = prefix;
-        sequence.push_back(LoopTransform::unroll_jam(level, factor));
-        AbsState unrolled = state;
-        apply_unroll_jam_abs(unrolled, level, factor);
-        add(unrolled, sequence);
-      }
-    }
-  }
-
-  void add(const AbsState& state, std::vector<LoopTransform> sequence) {
-    ++stats_.variants_generated;
-    Candidate cand;
-    cand.curve = make_curve(state, summary_, cycles_);
-    cand.optimistic = cand.curve.at(max_budget_);
-    cand.corner = cand.curve.at(cand.curve.min_regs);
-    cand.gen_index = static_cast<std::int64_t>(out_.size());
-    cand.sequence = std::move(sequence);
-    out_.push_back(std::move(cand));
-  }
-
-  std::vector<Candidate>& out_;
-  SpaceStats& stats_;
-  const TransformSpec& spec_;
-  const std::string& kernel_name_;
-  const Kernel& base_;
-  const BaseSummary& summary_;
-  const CycleOptions& cycles_;
-  std::int64_t max_budget_;
 };
 
 // Measured (registers, cycles) points of one kernel, reduced to the
@@ -522,14 +276,24 @@ ExploreResult explore_guided(AxisSpec axes, const ExploreOptions& options,
 
   ExploreResult final;
   for (const SpaceKernel& sk : axes.kernels) {
-    const BaseSummary summary = summarize(sk.kernel, options.pipeline.cycles);
+    const std::int64_t l0 = body_schedule_length(sk.kernel, options.pipeline.cycles);
     std::vector<Candidate> candidates;
-    AbstractEnumerator(candidates, final.space.stats, axes.transforms, sk.name,
-                       sk.kernel, summary, options.pipeline.cycles, max_budget)
-        .run();
+    walk_candidates(sk.kernel, sk.name, axes.transforms,
+                    [&](const AbsState& state, const std::vector<LoopTransform>& sequence) {
+      // Every candidate of the tree counts as generated; illegal ones are
+      // pruned when (if ever) they come up for materialization.
+      ++final.space.stats.variants_generated;
+      Candidate cand;
+      cand.curve = make_curve(state, l0, options.pipeline.cycles);
+      cand.optimistic = cand.curve.at(max_budget);
+      cand.corner = cand.curve.at(cand.curve.min_regs);
+      cand.sequence = sequence;
+      candidates.push_back(std::move(cand));
+    });
 
     // Most promising first: lowest optimistic bound, then lowest corner —
-    // generation order breaks ties, so the search is deterministic.
+    // generation order (the index) breaks ties, so the search is
+    // deterministic.
     std::vector<std::size_t> order(candidates.size());
     std::iota(order.begin(), order.end(), 0);
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -537,7 +301,7 @@ ExploreResult explore_guided(AxisSpec axes, const ExploreOptions& options,
       const Candidate& cb = candidates[b];
       if (ca.optimistic != cb.optimistic) return ca.optimistic < cb.optimistic;
       if (ca.corner != cb.corner) return ca.corner < cb.corner;
-      return ca.gen_index < cb.gen_index;
+      return a < b;
     });
 
     MeasuredPool pool;
@@ -549,8 +313,6 @@ ExploreResult explore_guided(AxisSpec axes, const ExploreOptions& options,
       std::vector<Variant> wave;
       while (static_cast<int>(wave.size()) < prune.wave && next < order.size()) {
         const Candidate& cand = candidates[order[next++]];
-        const srra::span<const LoopTransform> seq(cand.sequence.data(),
-                                                  cand.sequence.size());
         if (prune.max_evaluated_per_kernel > 0 &&
             evaluated + static_cast<int>(wave.size()) >=
                 prune.max_evaluated_per_kernel) {
@@ -561,46 +323,21 @@ ExploreResult explore_guided(AxisSpec axes, const ExploreOptions& options,
           ++final.space.stats.variants_pruned;
           continue;
         }
-        // Abstract legality is a superset; the real check runs here, once,
+        // The walk's legality is a superset; the real check runs here, once,
         // only for bound survivors.
-        if (!cand.sequence.empty() && !is_safe(sk.kernel, seq)) {
+        std::optional<PeeledNest> nest = apply_if_safe(sk.kernel, cand.sequence);
+        if (!nest || !seen.insert(nest_hash(*nest)).second) {
           ++final.space.stats.variants_pruned;
           continue;
         }
-        PeeledNest nest = apply_peeled(sk.kernel, seq);
-        if (!seen.insert(nest_hash(nest)).second) {
-          ++final.space.stats.variants_pruned;
-          continue;
-        }
-        Variant variant;
-        variant.index = static_cast<int>(wave.size());
-        variant.kernel_name = sk.name;
-        variant.order = order_label(nest.main);
-        variant.encoding = to_string(seq);
-        variant.transforms = cand.sequence;
-        variant.kernel = std::move(nest.main);
-        variant.epilogues = std::move(nest.epilogues);
-        wave.push_back(std::move(variant));
+        wave.push_back(make_variant(static_cast<int>(wave.size()), sk.name, cand.sequence,
+                                    std::move(*nest)));
       }
       if (wave.empty()) continue;
 
       EnumeratedSpace ws;
       ws.variants = std::move(wave);
-      for (const Variant& variant : ws.variants) {
-        for (const bool fetch : axes.fetch_modes) {
-          for (const Algorithm algorithm : axes.algorithms) {
-            for (const std::int64_t budget : axes.budgets) {
-              SpacePoint point;
-              point.index = static_cast<int>(ws.points.size());
-              point.variant = variant.index;
-              point.algorithm = algorithm;
-              point.budget = budget;
-              point.concurrent_fetch = fetch;
-              ws.points.push_back(point);
-            }
-          }
-        }
-      }
+      add_points(ws, axes);
       ExploreResult measured = explore(std::move(ws), options);
 
       // Feed the pool, then splice the wave into the merged result with

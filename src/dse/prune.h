@@ -6,15 +6,16 @@
 // candidate whose whole curve is strictly dominated by an already-measured
 // design point of the same kernel.
 //
-// The candidate state is abstract: per reference group, the per-level
+// The candidates are the tree enumerate_space filters (dse/candidate_tree.h),
+// walked over their abstract state: per reference group, the per-level
 // linearized element shift (analysis/reuse.h access_shift_profile), which
 // interchange permutes, tiling splits (tile level shifts by size x the old
 // stride, point level keeps it) and unroll-and-jam scales — so walking the
-// whole generated cross product costs microseconds per candidate instead of
-// a kernel rewrite plus a full analysis. Only bound-surviving candidates
-// are materialized (ir/transform.h apply_peeled), legality-checked with the
-// real is_safe, deduplicated by structural hash, and evaluated in waves
-// through the ordinary dse/explore engine.
+// whole tree costs microseconds per candidate instead of a kernel rewrite
+// plus a full analysis. Only bound-surviving candidates are materialized
+// and legality-checked (ir/transform.h apply_if_safe), deduplicated by
+// structural hash, and evaluated in waves through the ordinary dse/explore
+// engine.
 //
 // Soundness of the bound (why pruning cannot change the Pareto frontier):
 //
@@ -112,16 +113,16 @@ struct BoundCurve {
 
 /// Analytic bound for an explicit transform sequence on `kernel`, computed
 /// without materializing the rewrite. Exposed for the soundness suite;
-/// explore_guided derives the same curves during abstract enumeration.
+/// explore_guided derives the same curves while walking the tree.
 /// `cycles` supplies the latency model and overhead; when fsm_serial_memory
 /// is off the curve degrades to the compute floor (memory overlaps).
 BoundCurve bound_curve(const Kernel& kernel, srra::span<const LoopTransform> transforms,
                        const CycleOptions& cycles);
 
-/// Guided counterpart of explore(enumerate_space(axes), options): abstract-
-/// enumerates the same transform cross product per kernel, scores every
-/// candidate by its bound curve, and evaluates waves of the most promising
-/// survivors, pruning candidates strictly dominated by measured points.
+/// Guided counterpart of explore(enumerate_space(axes), options): walks the
+/// same candidate tree per kernel, scores every candidate by its bound
+/// curve, and evaluates waves of the most promising survivors, pruning
+/// candidates strictly dominated by measured points.
 /// Stats land in result.space.stats (generated = pruned + evaluated).
 /// Explicit illegal sequences throw exactly like enumerate_space.
 ExploreResult explore_guided(AxisSpec axes, const ExploreOptions& options,

@@ -1,19 +1,16 @@
 #include "dse/space.h"
 
 #include <algorithm>
-#include <numeric>
+#include <optional>
 #include <unordered_set>
 
+#include "dse/candidate_tree.h"
 #include "support/error.h"
 #include "support/str.h"
 
 namespace srra::dse {
 
 namespace {
-
-std::string order_label(const Kernel& kernel) {
-  return cat("(", join(kernel.loop_names(), ","), ")");
-}
 
 // Budgets above this are nonsense for any device the hw model knows; the
 // bound also keeps the doubling ladder far from int64 overflow.
@@ -30,143 +27,6 @@ std::int64_t parse_positive(std::string_view token, const std::string& spec) {
         cat("bad budget spec '", spec, "': budgets must be in [1, ", kMaxBudget, "]"));
   return value;
 }
-
-// Structural fingerprint of a peeled nest: the main kernel's hash mixed
-// with every epilogue's (two variants are duplicates only when every piece
-// matches).
-std::uint64_t nest_hash(const PeeledNest& nest) {
-  std::uint64_t h = structural_hash(nest.main);
-  for (const Kernel& epilogue : nest.epilogues) {
-    h = h * 1099511628211ull ^ structural_hash(epilogue);
-  }
-  return h;
-}
-
-PeeledNest clone_nest(const PeeledNest& nest) {
-  PeeledNest out;
-  out.main = nest.main.clone();
-  out.epilogues.reserve(nest.epilogues.size());
-  for (const Kernel& epilogue : nest.epilogues) out.epilogues.push_back(epilogue.clone());
-  return out;
-}
-
-// Enumerates the transform axis of one kernel (see TransformSpec): the
-// source variant, the explicit sequences, then the generated cross product
-// permutations x tile stacks x unroll factors, deduplicated by structural
-// hash and capped — but never silently: candidates past the cap (and
-// duplicates) keep counting into space.stats. Deterministic: purely a
-// function of the kernel and the spec.
-class VariantEnumerator {
- public:
-  VariantEnumerator(EnumeratedSpace& space, const TransformSpec& spec,
-                    const std::string& kernel_name, const Kernel& base)
-      : space_(space), spec_(spec), kernel_name_(kernel_name), base_(base) {}
-
-  void run() {
-    add({base_.clone(), {}}, {});  // the source variant always enumerates first
-    // Explicit sequences: validated first (the API contract promises a
-    // throw for an illegal sequence, never a silent skip — even once the
-    // variant cap is reached), then applied with remainder peeling.
-    for (const std::vector<LoopTransform>& sequence : spec_.sequences) {
-      const srra::span<const LoopTransform> seq(sequence.data(), sequence.size());
-      check(is_safe(base_, seq), cat("transform sequence '", to_string(seq),
-                                     "' is illegal for kernel ", kernel_name_));
-      add(apply_peeled(base_, seq), sequence);
-    }
-
-    const int depth = base_.depth();
-    const bool permute = spec_.interchange && depth > 1 &&
-                         depth <= spec_.max_interchange_depth && reorder_is_safe(base_);
-    std::vector<int> perm(static_cast<std::size_t>(depth));
-    std::iota(perm.begin(), perm.end(), 0);
-    do {
-      const bool identity = std::is_sorted(perm.begin(), perm.end());
-      if (identity) {
-        expand({base_.clone(), {}}, {}, /*add_bare=*/false, spec_.tile_depth);
-      } else {
-        const std::vector<LoopTransform> prefix{LoopTransform::interchange(perm)};
-        expand({apply_transform(base_, prefix.front()), {}}, prefix,
-               /*add_bare=*/true, spec_.tile_depth);
-      }
-    } while (permute && std::next_permutation(perm.begin(), perm.end()));
-  }
-
- private:
-  // One (possibly permuted, possibly tiled) nest: the bare variant (when
-  // requested), its unroll-and-jam options, then — while tile layers
-  // remain — every legal Tile{level, size} expanded recursively, so
-  // tile_depth > 1 stacks tiles on tiles.
-  void expand(const PeeledNest& nest, const std::vector<LoopTransform>& prefix,
-              bool add_bare, int tiles_left) {
-    if (add_bare) add(clone_nest(nest), prefix);
-    add_unrolls(nest, prefix);
-    if (tiles_left <= 0) return;
-    for (int level = 0; level < nest.main.depth(); ++level) {
-      const std::int64_t trip = nest.main.loop(level).trip_count();
-      for (const std::int64_t size : spec_.tile_sizes) {
-        if (size < 2 || size >= trip) continue;
-        const LoopTransform t = LoopTransform::tile(level, size);
-        // Full tiles are always legal; peeled ones check the level-0 /
-        // reorder condition (ir/transform.h).
-        if (trip % size != 0 && !is_safe(nest.main, t)) continue;
-        std::vector<LoopTransform> sequence = prefix;
-        sequence.push_back(t);
-        PeeledNest tiled = apply_peeled(nest.main, srra::span<const LoopTransform>(&t, 1));
-        for (std::size_t e = 0; e < nest.epilogues.size(); ++e) {
-          tiled.epilogues.insert(tiled.epilogues.begin() + static_cast<std::ptrdiff_t>(e),
-                                 nest.epilogues[e].clone());
-        }
-        expand(tiled, sequence, /*add_bare=*/true, tiles_left - 1);
-      }
-    }
-  }
-
-  // Every legal UnrollJam{level, factor} on top of the nest's main piece
-  // (epilogues are never unrolled — they execute after the whole main
-  // range, so a main-only unroll-and-jam cannot observe them).
-  void add_unrolls(const PeeledNest& nest, const std::vector<LoopTransform>& prefix) {
-    for (int level = 0; level < nest.main.depth(); ++level) {
-      for (const std::int64_t factor : spec_.unroll_factors) {
-        const LoopTransform t = LoopTransform::unroll_jam(level, factor);
-        if (!is_safe(nest.main, t)) continue;
-        std::vector<LoopTransform> sequence = prefix;
-        sequence.push_back(t);
-        PeeledNest unrolled = clone_nest(nest);
-        unrolled.main = apply_transform(unrolled.main, t);
-        add(std::move(unrolled), sequence);
-      }
-    }
-  }
-
-  bool full() const { return added_ >= spec_.max_variants_per_kernel; }
-
-  void add(PeeledNest nest, std::vector<LoopTransform> transforms) {
-    ++space_.stats.variants_generated;
-    if (full() || !seen_.insert(nest_hash(nest)).second) {
-      ++space_.stats.variants_pruned;
-      return;
-    }
-    Variant variant;
-    variant.index = static_cast<int>(space_.variants.size());
-    variant.kernel_name = kernel_name_;
-    variant.order = order_label(nest.main);
-    variant.encoding = to_string(
-        srra::span<const LoopTransform>(transforms.data(), transforms.size()));
-    variant.transforms = std::move(transforms);
-    variant.kernel = std::move(nest.main);
-    variant.epilogues = std::move(nest.epilogues);
-    space_.variants.push_back(std::move(variant));
-    ++space_.stats.variants_evaluated;
-    ++added_;
-  }
-
-  EnumeratedSpace& space_;
-  const TransformSpec& spec_;
-  const std::string& kernel_name_;
-  const Kernel& base_;
-  std::unordered_set<std::uint64_t> seen_;
-  int added_ = 0;
-};
 
 }  // namespace
 
@@ -188,24 +48,27 @@ EnumeratedSpace enumerate_space(AxisSpec axes) {
 
   EnumeratedSpace space;
   for (const SpaceKernel& sk : axes.kernels) {
-    VariantEnumerator(space, axes.transforms, sk.name, sk.kernel).run();
-  }
-
-  for (const Variant& variant : space.variants) {
-    for (const bool fetch : axes.fetch_modes) {
-      for (const Algorithm algorithm : axes.algorithms) {
-        for (const std::int64_t budget : axes.budgets) {
-          SpacePoint point;
-          point.index = static_cast<int>(space.points.size());
-          point.variant = variant.index;
-          point.algorithm = algorithm;
-          point.budget = budget;
-          point.concurrent_fetch = fetch;
-          space.points.push_back(point);
-        }
+    std::unordered_set<std::uint64_t> seen;
+    int added = 0;
+    walk_candidates(sk.kernel, sk.name, axes.transforms,
+                    [&](const AbsState&, const std::vector<LoopTransform>& sequence) {
+      // Illegal candidates are not part of the space and are not counted;
+      // duplicates and candidates past the cap are (no silent caps).
+      std::optional<PeeledNest> nest = apply_if_safe(sk.kernel, sequence);
+      if (!nest) return;
+      ++space.stats.variants_generated;
+      if (added >= axes.transforms.max_variants_per_kernel ||
+          !seen.insert(nest_hash(*nest)).second) {
+        ++space.stats.variants_pruned;
+        return;
       }
-    }
+      space.variants.push_back(make_variant(static_cast<int>(space.variants.size()),
+                                            sk.name, sequence, std::move(*nest)));
+      ++space.stats.variants_evaluated;
+      ++added;
+    });
   }
+  add_points(space, axes);
   return space;
 }
 

@@ -30,7 +30,9 @@ struct SpaceKernel {
 };
 
 /// The loop-transformation axis (ir/transform.h): which rewrites of each
-/// kernel enter the space. Enumeration is the cross product
+/// kernel enter the space. It defines one candidate tree per kernel, which
+/// enumerate_space and explore_guided both walk (dse/candidate_tree.h,
+/// DESIGN.md §10): the source, the explicit sequences, then
 ///
 ///   (source order + legal interchange permutations)
 ///     x (untiled + Tile{level, size} stacks up to tile_depth layers)
@@ -38,13 +40,14 @@ struct SpaceKernel {
 ///
 /// in that nesting order, each sequence applied left to right, with levels
 /// of later transforms referring to the nest the earlier ones produced.
-/// Non-dividing tile sizes are applied with remainder peeling where legal;
-/// remaining illegal combinations (oversized tiles, non-dividing unroll
-/// factors, unsafe reorders) are skipped; structurally identical results —
-/// e.g. permutations that are no-ops on 1D or symmetric nests — are
-/// deduplicated via structural_hash; and each kernel contributes at most
-/// max_variants_per_kernel variants (candidates past the cap are still
-/// counted in EnumeratedSpace::stats).
+/// Non-dividing tile sizes are applied with remainder peeling where legal.
+/// enumerate_space keeps the candidates apply_if_safe accepts (oversized
+/// tiles, non-dividing unroll factors and unsafe reorders are skipped
+/// uncounted), deduplicates structurally identical results — e.g.
+/// permutations that are no-ops on symmetric nests — via structural_hash,
+/// and keeps at most max_variants_per_kernel variants per kernel
+/// (duplicates and candidates past the cap still count in
+/// EnumeratedSpace::stats).
 struct TransformSpec {
   /// Enumerate every legal loop-interchange permutation per kernel.
   bool interchange = false;
@@ -129,10 +132,11 @@ struct SpacePoint {
 };
 
 /// Candidate-generation counters — the no-silent-caps contract. Every
-/// candidate transform sequence the generator produces increments
-/// `generated`; `evaluated` counts the variants that entered the space;
-/// `pruned` counts the rest (bound-dominated in guided search, duplicate or
-/// over-cap in exhaustive enumeration). generated == pruned + evaluated, so
+/// candidate the sweep generates increments `generated` (exhaustive: every
+/// legal candidate of the tree; guided: every candidate); `evaluated`
+/// counts the variants that entered the space; `pruned` counts the rest
+/// (bound-dominated or illegal in guided search, duplicate or over-cap in
+/// exhaustive enumeration). generated == pruned + evaluated, so
 /// a capped or pruned run is visible in every report.
 struct SpaceStats {
   std::int64_t variants_generated = 0;

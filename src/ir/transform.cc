@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <numeric>
 
 #include "support/error.h"
 #include "support/str.h"
@@ -219,6 +218,30 @@ Kernel with_loop_bounds(const Kernel& kernel, int level, std::int64_t lower,
   return rewrite_body(kernel, std::move(out), affine, loop_var);
 }
 
+// One apply_peeled step on the main piece. A Tile whose size does not
+// divide the trip count first splits the loop at the last full-tile
+// boundary: the main range keeps trip - trip % size iterations (a multiple
+// of the size, so the tile is full-tile), the remainder becomes the next
+// untiled epilogue.
+void apply_peeled_step(PeeledNest& nest, const LoopTransform& t) {
+  if (t.kind == TransformKind::kTile) {
+    check(t.level >= 0 && t.level < nest.main.depth(), "tile level out of range");
+    const Loop target = nest.main.loop(t.level);
+    const std::int64_t trip = target.trip_count();
+    if (trip % t.amount != 0) {
+      check(t.amount >= 2 && t.amount < trip,
+            cat("tile size ", t.amount, " cannot peel loop ", target.var,
+                " with trip count ", trip));
+      const std::int64_t split = target.lower + (trip - trip % t.amount) * target.step;
+      Kernel epilogue = with_loop_bounds(nest.main, t.level, split, target.upper);
+      epilogue.set_name(cat(nest.main.name(), "__peel", nest.epilogues.size() + 1));
+      nest.epilogues.push_back(std::move(epilogue));
+      nest.main = with_loop_bounds(nest.main, t.level, target.lower, split);
+    }
+  }
+  nest.main = apply_transform(nest.main, t);
+}
+
 // ---- Dependence condition -------------------------------------------------
 
 // True when `expr` is `lhs + rest` or `rest + lhs` with no other occurrence
@@ -304,30 +327,17 @@ Kernel apply(const Kernel& kernel, srra::span<const LoopTransform> transforms) {
 }
 
 PeeledNest apply_peeled(const Kernel& kernel, srra::span<const LoopTransform> transforms) {
-  PeeledNest out;
-  out.main = kernel.clone();
-  int peels = 0;
+  PeeledNest out{kernel.clone(), {}};
+  for (const LoopTransform& t : transforms) apply_peeled_step(out, t);
+  return out;
+}
+
+std::optional<PeeledNest> apply_if_safe(const Kernel& kernel,
+                                        srra::span<const LoopTransform> transforms) {
+  PeeledNest out{kernel.clone(), {}};
   for (const LoopTransform& t : transforms) {
-    if (t.kind == TransformKind::kTile) {
-      check(t.level >= 0 && t.level < out.main.depth(), "tile level out of range");
-      const Loop target = out.main.loop(t.level);
-      const std::int64_t trip = target.trip_count();
-      if (trip % t.amount != 0) {
-        check(t.amount >= 2 && t.amount < trip,
-              cat("tile size ", t.amount, " cannot peel loop ", target.var,
-                  " with trip count ", trip));
-        // Split at the last full-tile boundary: the main range keeps trip
-        // - trip % size iterations (a multiple of the size, so the tile
-        // below is full-tile), the remainder becomes an untiled epilogue.
-        const std::int64_t split =
-            target.lower + (trip - trip % t.amount) * target.step;
-        Kernel epilogue = with_loop_bounds(out.main, t.level, split, target.upper);
-        epilogue.set_name(cat(kernel.name(), "__peel", ++peels));
-        out.epilogues.push_back(std::move(epilogue));
-        out.main = with_loop_bounds(out.main, t.level, target.lower, split);
-      }
-    }
-    out.main = apply_transform(out.main, t);
+    if (!is_safe(out.main, t)) return std::nullopt;
+    apply_peeled_step(out, t);
   }
   return out;
 }
@@ -392,15 +402,7 @@ bool is_safe(const Kernel& kernel, const LoopTransform& t) {
 }
 
 bool is_safe(const Kernel& kernel, srra::span<const LoopTransform> transforms) {
-  // Later transforms apply to the peeled *main* nest (apply_peeled), so the
-  // legality walk advances through the main piece of every peeled Tile.
-  Kernel current = kernel.clone();
-  for (const LoopTransform& t : transforms) {
-    if (!is_safe(current, t)) return false;
-    current = std::move(
-        apply_peeled(current, srra::span<const LoopTransform>(&t, 1)).main);
-  }
-  return true;
+  return apply_if_safe(kernel, transforms).has_value();
 }
 
 std::string to_string(const LoopTransform& t) {
@@ -569,16 +571,5 @@ bool reorder_is_safe(const Kernel& kernel) {
   }
   return true;
 }
-
-Kernel interchange_loops(const Kernel& kernel, int level_a, int level_b) {
-  check(level_a >= 0 && level_a < kernel.depth(), "interchange level out of range");
-  check(level_b >= 0 && level_b < kernel.depth(), "interchange level out of range");
-  std::vector<int> perm(static_cast<std::size_t>(kernel.depth()));
-  std::iota(perm.begin(), perm.end(), 0);
-  std::swap(perm[static_cast<std::size_t>(level_a)], perm[static_cast<std::size_t>(level_b)]);
-  return apply_interchange(kernel, perm);
-}
-
-bool interchange_is_safe(const Kernel& kernel) { return reorder_is_safe(kernel); }
 
 }  // namespace srra

@@ -46,6 +46,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -107,12 +108,18 @@ struct PeeledNest {
 /// levels, non-dividing unroll factors).
 PeeledNest apply_peeled(const Kernel& kernel, srra::span<const LoopTransform> transforms);
 
+/// Checked apply_peeled in one stepwise pass: the peeled nest when every
+/// transform is_safe on the main nest the ones before it produced, nullopt
+/// as soon as one is not (malformed transforms included).
+std::optional<PeeledNest> apply_if_safe(const Kernel& kernel,
+                                        srra::span<const LoopTransform> transforms);
+
 /// Per-transform legality: well-formed for this kernel AND semantics-
 /// preserving (see header comment).
 bool is_safe(const Kernel& kernel, const LoopTransform& t);
 
 /// Sequence legality: every prefix transform is safe on the kernel produced
-/// by the transforms before it.
+/// by the transforms before it (apply_if_safe succeeds).
 bool is_safe(const Kernel& kernel, srra::span<const LoopTransform> transforms);
 
 /// Canonical encoding of one transform, e.g. "i(2,0,1)", "t(1,8)", "uj(0,2)".
@@ -129,13 +136,5 @@ std::vector<LoopTransform> parse_transforms(const std::string& text);
 /// unroll-and-jam (see header comment): true when reordering the kernel's
 /// cross-iteration execution cannot change its results.
 bool reorder_is_safe(const Kernel& kernel);
-
-/// Returns the kernel with loops `level_a` and `level_b` swapped — the
-/// pairwise special case of Interchange{perm}, kept for callers that think
-/// in swaps (tests, examples).
-Kernel interchange_loops(const Kernel& kernel, int level_a, int level_b);
-
-/// Legality of interchange_loops: alias of reorder_is_safe.
-bool interchange_is_safe(const Kernel& kernel);
 
 }  // namespace srra

@@ -12,26 +12,6 @@ namespace srra {
 
 namespace {
 
-// Flat evaluation-ordered occurrence list.
-struct FlatOccurrence {
-  int group = 0;
-  int stmt = 0;
-  int order = 0;
-  bool is_write = false;
-};
-
-std::vector<FlatOccurrence> flatten(const std::vector<RefGroup>& groups) {
-  std::vector<FlatOccurrence> flat;
-  for (const RefGroup& g : groups) {
-    for (const RefOccurrence& occ : g.occurrences) {
-      flat.push_back(FlatOccurrence{g.id, occ.stmt, occ.order, occ.is_write});
-    }
-  }
-  std::sort(flat.begin(), flat.end(),
-            [](const FlatOccurrence& a, const FlatOccurrence& b) { return a.order < b.order; });
-  return flat;
-}
-
 // Hashed flat schedule cache: open addressing with linear probing over
 // contiguous arrays. Keys are the iteration profile's RAM bits packed into
 // words plus the boundary-flush count; values are schedule lengths. The

@@ -11,16 +11,23 @@
 //    and without a per-kernel evaluation cap,
 //  * the sweep-spec parsers reject trailing garbage ("8x") instead of
 //    silently truncating — pinned here because the guided bench leans on
-//    hand-typed size lists.
+//    hand-typed size lists,
+//  * the candidate tree both sweeps walk (dse/candidate_tree.h) — its
+//    abstract state matches every legal candidate's materialized nest, and
+//    its superset legality never drops a step is_safe accepts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <utility>
 #include <vector>
 
+#include "dse/candidate_tree.h"
 #include "dse/pareto.h"
 #include "dse/prune.h"
+#include "ir/parser.h"
 #include "kernels/kernels.h"
 #include "random_kernel.h"
 #include "support/error.h"
@@ -166,6 +173,101 @@ TEST(Prune, SweepSpecParsersRejectTrailingGarbage) {
   EXPECT_EQ(dse::parse_size_list("4,8", "--tiles"), (std::vector<std::int64_t>{4, 8}));
 }
 
+// ---- The candidate tree ----
+//
+// Both sweeps rest on the walk: the guided search bounds a candidate from
+// its abstract state, and enumerate_space keeps exactly the candidates
+// apply_if_safe accepts. So every accepted candidate's abstract trips (and
+// peeled epilogue sizes) must equal its materialized nest's, and every next
+// step the grammar allows from it — a tile while layers remain and no
+// unroll yet, or an unroll — that is_safe accepts must be visited too.
+
+dse::TransformSpec tree_spec(int tile_depth) {
+  dse::TransformSpec spec;
+  spec.interchange = true;
+  spec.tile_sizes = {2, 3, 4};
+  spec.tile_depth = tile_depth;
+  spec.unroll_factors = {2, 3};
+  return spec;
+}
+
+struct TreeCounts {
+  int visited = 0;
+  int rejected = 0;  ///< visited candidates apply_if_safe refused
+};
+
+void check_tree(const Kernel& kernel, const dse::TransformSpec& spec, TreeCounts& counts) {
+  struct Visit {
+    std::vector<LoopTransform> sequence;
+    dse::AbsState state;
+  };
+  std::vector<Visit> visits;
+  std::set<std::string> visited;
+  dse::walk_candidates(kernel, "tree", spec,
+                       [&](const dse::AbsState& state,
+                           const std::vector<LoopTransform>& sequence) {
+    visits.push_back({sequence, state});
+    visited.insert(to_string(sequence));
+  });
+  counts.visited += static_cast<int>(visits.size());
+  for (const Visit& v : visits) {
+    const std::optional<PeeledNest> nest = apply_if_safe(kernel, v.sequence);
+    if (!nest) {
+      ++counts.rejected;
+      continue;
+    }
+    const std::string at = to_string(v.sequence);
+    EXPECT_EQ(v.state.trips, nest->main.trip_counts()) << at;
+    std::vector<std::int64_t> epilogue_iterations;
+    for (const Kernel& e : nest->epilogues) epilogue_iterations.push_back(e.iteration_count());
+    EXPECT_EQ(v.state.epilogue_iterations, epilogue_iterations) << at;
+
+    const auto count = [&](TransformKind kind) {
+      return std::count_if(v.sequence.begin(), v.sequence.end(),
+                           [&](const LoopTransform& t) { return t.kind == kind; });
+    };
+    if (count(TransformKind::kUnrollJam) > 0) continue;
+    std::vector<LoopTransform> steps;
+    for (int level = 0; level < nest->main.depth(); ++level) {
+      if (count(TransformKind::kTile) < spec.tile_depth) {
+        for (const std::int64_t size : spec.tile_sizes) {
+          if (size < nest->main.loop(level).trip_count()) {
+            steps.push_back(LoopTransform::tile(level, size));
+          }
+        }
+      }
+      for (const std::int64_t factor : spec.unroll_factors) {
+        steps.push_back(LoopTransform::unroll_jam(level, factor));
+      }
+    }
+    for (const LoopTransform& step : steps) {
+      if (!is_safe(nest->main, step)) continue;
+      std::vector<LoopTransform> next = v.sequence;
+      next.push_back(step);
+      EXPECT_EQ(visited.count(to_string(next)), 1u) << at << " + " << to_string(step);
+    }
+  }
+}
+
+TEST(Prune, CandidateTreeStateAndSupersetHoldOnBuiltins) {
+  std::vector<kernels::NamedKernel> cases = kernels::builtin_kernels();
+  // Every builtin is reorder-safe, so add a kernel that is not: its inner
+  // peeled tiles and outer unroll-and-jams are in the superset only.
+  cases.push_back({"scan", "", parse_kernel(R"(
+    kernel scan {
+      array x[8]; array y[8][6];
+      for i in 0..8 { for j in 0..6 { x[i] = x[i] * 2 + y[i][j]; } }
+    }
+  )")});
+  TreeCounts counts;
+  for (const kernels::NamedKernel& k : cases) {
+    SCOPED_TRACE(k.name);
+    for (const int depth : {1, 2}) check_tree(k.kernel, tree_spec(depth), counts);
+  }
+  EXPECT_GT(counts.rejected, 0);
+  EXPECT_GT(counts.visited, 2 * counts.rejected);
+}
+
 class PruneFuzz : public ::testing::TestWithParam<int> {
  protected:
   std::uint64_t seed() const {
@@ -214,6 +316,15 @@ TEST_P(PruneFuzz, BoundNeverExceedsMeasuredCycles) {
     EXPECT_LE(curve.at(r.design.allocation.total()), r.design.cycles.exec_cycles)
         << result.variant_of(point).label() << " budget " << point.budget;
   }
+}
+
+TEST_P(PruneFuzz, CandidateTreeStateAndSupersetHold) {
+  SCOPED_TRACE(replay_hint());
+  Rng rng(seed() * 7919 + 3);
+  const Kernel base = random_kernel(rng);
+  TreeCounts counts;
+  for (const int depth : {1, 2}) check_tree(base, tree_spec(depth), counts);
+  EXPECT_GT(counts.visited, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PruneFuzz, ::testing::Range(0, fuzz_iters()));

@@ -12,7 +12,7 @@ namespace {
 
 TEST(Transform, InterchangeSwapsLoopsAndSubscripts) {
   const Kernel k = kernels::mat();
-  const Kernel t = interchange_loops(k, 0, 2);
+  const Kernel t = apply_transform(k, LoopTransform::interchange({2, 1, 0}));
   EXPECT_EQ(t.loop(0).var, "k");
   EXPECT_EQ(t.loop(2).var, "i");
   // a[i][k] must still read a[i][k] (coefficients follow the loops).
@@ -29,12 +29,14 @@ TEST(Transform, InterchangePreservesMatSemantics) {
   ArrayStore reference = base;
   interpret(k, reference);
 
-  for (const auto& [a, b] : {std::pair{0, 1}, std::pair{0, 2}, std::pair{1, 2}}) {
-    const Kernel t = interchange_loops(k, a, b);
+  for (const std::vector<int>& perm :
+       {std::vector<int>{1, 0, 2}, std::vector<int>{2, 1, 0}, std::vector<int>{0, 2, 1}}) {
+    const LoopTransform swap = LoopTransform::interchange(perm);
+    const Kernel t = apply_transform(k, swap);
     ArrayStore permuted(t);
     permuted.randomize(99);
     interpret(t, permuted);
-    EXPECT_TRUE(permuted.equals(reference)) << "interchange " << a << "<->" << b;
+    EXPECT_TRUE(permuted.equals(reference)) << to_string(swap);
   }
 }
 
@@ -44,7 +46,7 @@ TEST(Transform, InterchangePreservesExampleSemantics) {
   reference.randomize(5);
   interpret(k, reference);
 
-  const Kernel t = interchange_loops(k, 1, 2);  // swap j and k
+  const Kernel t = apply_transform(k, LoopTransform::interchange({0, 2, 1}));  // swap j and k
   ArrayStore permuted(t);
   permuted.randomize(5);
   interpret(t, permuted);
@@ -57,7 +59,7 @@ TEST(Transform, InterchangeMovesReuseLevels) {
   // the whole inner (i,k) subnest — full replacement now needs all 256
   // elements. Interchange genuinely changes the register economics.
   const RefModel before(kernels::mat());
-  const RefModel after(interchange_loops(kernels::mat(), 0, 1));
+  const RefModel after(apply_transform(kernels::mat(), LoopTransform::interchange({1, 0, 2})));
   const int a_before = group_named(before.groups(), "a[i][k]").id;
   const int a_after = group_named(after.groups(), "a[i][k]").id;
   EXPECT_EQ(before.reuse()[a_before].outermost_level(), 1);
@@ -67,9 +69,9 @@ TEST(Transform, InterchangeMovesReuseLevels) {
 }
 
 TEST(Transform, SafetyCheckAcceptsPaperKernels) {
-  EXPECT_TRUE(interchange_is_safe(kernels::mat()));
-  EXPECT_TRUE(interchange_is_safe(kernels::fir()));
-  EXPECT_TRUE(interchange_is_safe(kernels::paper_example()));
+  EXPECT_TRUE(reorder_is_safe(kernels::mat()));
+  EXPECT_TRUE(reorder_is_safe(kernels::fir()));
+  EXPECT_TRUE(reorder_is_safe(kernels::paper_example()));
 }
 
 TEST(Transform, SafetyCheckRejectsNonCommutativeSelfUpdate) {
@@ -79,7 +81,7 @@ TEST(Transform, SafetyCheckRejectsNonCommutativeSelfUpdate) {
       for i in 0..8 { for j in 0..4 { x[i] = x[i] * 2 + j; } }
     }
   )");
-  EXPECT_FALSE(interchange_is_safe(k));
+  EXPECT_FALSE(reorder_is_safe(k));
 }
 
 TEST(Transform, SafetyCheckRejectsCrossSubscriptFlow) {
@@ -89,11 +91,12 @@ TEST(Transform, SafetyCheckRejectsCrossSubscriptFlow) {
       for i in 0..8 { x[i + 1] = x[i] + 1; }
     }
   )");
-  EXPECT_FALSE(interchange_is_safe(k));
+  EXPECT_FALSE(reorder_is_safe(k));
 }
 
 TEST(Transform, OutOfRangeLevelThrows) {
-  EXPECT_THROW(interchange_loops(kernels::mat(), 0, 3), Error);
+  // Swapping levels 0 and 3 of a depth-3 nest is not a permutation.
+  EXPECT_THROW(apply_transform(kernels::mat(), LoopTransform::interchange({3, 1, 2})), Error);
 }
 
 TEST(Transform, SafetyCheckRejectsNonInjectiveWritePattern) {
@@ -335,7 +338,7 @@ TEST(Transform, StructuralHashIgnoresNamesOnly) {
   EXPECT_NE(structural_hash(a),
             structural_hash(apply_transform(a, LoopTransform::tile(2, 4))));
   EXPECT_NE(structural_hash(a),
-            structural_hash(interchange_loops(a, 0, 1)));
+            structural_hash(apply_transform(a, LoopTransform::interchange({1, 0, 2}))));
 }
 
 }  // namespace
