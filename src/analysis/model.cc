@@ -18,38 +18,32 @@ std::int64_t RefModel::beta_full(int g) const {
   return reuse_[static_cast<std::size_t>(g)].beta_full();
 }
 
-const GroupCounts& RefModel::counts(int g, std::int64_t regs) const {
-  check(g >= 0 && g < group_count(), "group id out of range");
-  if (const AccessCurve* curve = covering_curve(g, regs)) return curve->counts(g, regs);
+const StrategyChoice& RefModel::choice(int g, std::int64_t regs) const {
   const auto key = std::make_pair(g, regs);
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
-    const auto it = cache_.find(key);
-    if (it != cache_.end()) return it->second;
+    const auto it = choices_.find(key);
+    if (it != choices_.end()) return it->second;
   }
-  const GroupCounts counts = count_group_accesses(
+  StrategyChoice computed = select_strategy_counted(
       kernel_, groups_[static_cast<std::size_t>(g)], reuse_[static_cast<std::size_t>(g)],
       regs, options_);
   // std::map nodes are stable, so the reference survives later insertions;
   // a racing thread computed the same value and emplace keeps the first.
   std::unique_lock<std::shared_mutex> lock(mu_);
-  return cache_.emplace(key, counts).first->second;
+  return choices_.emplace(key, std::move(computed)).first->second;
+}
+
+const GroupCounts& RefModel::counts(int g, std::int64_t regs) const {
+  check(g >= 0 && g < group_count(), "group id out of range");
+  if (const AccessCurve* curve = covering_curve(g, regs)) return curve->counts(g, regs);
+  return choice(g, regs).counts;
 }
 
 RefStrategy RefModel::strategy(int g, std::int64_t regs) const {
   check(g >= 0 && g < group_count(), "group id out of range");
   if (const AccessCurve* curve = covering_curve(g, regs)) return curve->strategy(g, regs);
-  const auto key = std::make_pair(g, regs);
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    const auto it = strategy_cache_.find(key);
-    if (it != strategy_cache_.end()) return it->second;
-  }
-  const RefStrategy s =
-      select_strategy(kernel_, groups_[static_cast<std::size_t>(g)],
-                      reuse_[static_cast<std::size_t>(g)], regs, options_);
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  return strategy_cache_.emplace(key, s).first->second;
+  return choice(g, regs).strategy;
 }
 
 std::vector<RefStrategy> RefModel::strategies(srra::span<const std::int64_t> regs) const {
@@ -71,10 +65,9 @@ std::vector<RefStrategy> RefModel::strategies(srra::span<const std::int64_t> reg
     std::shared_lock<std::shared_mutex> lock(mu_);
     for (std::size_t g = 0; g < regs.size(); ++g) {
       if (resolved[g]) continue;
-      const auto it = strategy_cache_.find(std::make_pair(static_cast<int>(g), regs[g]));
-      if (it != strategy_cache_.end()) {
-        out[g] = it->second;
-        resolved[g] = true;
+      const auto it = choices_.find(std::make_pair(static_cast<int>(g), regs[g]));
+      if (it != choices_.end()) {
+        out[g] = it->second.strategy;
       } else {
         missing.push_back(static_cast<int>(g));
       }
@@ -82,8 +75,8 @@ std::vector<RefStrategy> RefModel::strategies(srra::span<const std::int64_t> reg
   }
   if (missing.empty()) return out;
 
-  // Compute the misses outside any lock; the selection's counters seed the
-  // count cache too, so a later counts() for the same point is a hit.
+  // Compute the misses outside any lock and publish the whole selections,
+  // so a later counts() for the same point is a hit.
   std::vector<StrategyChoice> computed;
   computed.reserve(missing.size());
   for (const int g : missing) {
@@ -94,10 +87,8 @@ std::vector<RefStrategy> RefModel::strategies(srra::span<const std::int64_t> reg
   }
   std::unique_lock<std::shared_mutex> lock(mu_);
   for (std::size_t i = 0; i < missing.size(); ++i) {
-    const auto key =
-        std::make_pair(missing[i], regs[static_cast<std::size_t>(missing[i])]);
-    strategy_cache_.emplace(key, computed[i].strategy);
-    cache_.emplace(key, computed[i].counts);
+    choices_.emplace(std::make_pair(missing[i], regs[static_cast<std::size_t>(missing[i])]),
+                     std::move(computed[i]));
   }
   return out;
 }

@@ -56,11 +56,13 @@ class RefModel {
   /// RAM accesses of group `g` when it owns `regs` registers (cached).
   std::int64_t accesses(int g, std::int64_t regs, CountMode mode) const;
 
-  /// Full counter detail (cached alongside accesses()).
+  /// Full counter detail of the strategy strategy() picks (cached).
   const GroupCounts& counts(int g, std::int64_t regs) const;
 
   /// The strategy select_strategy picks for group `g` at `regs` registers
   /// (cached; the empirical selection evaluates every candidate window).
+  /// counts(), strategy() and strategies() read one memo of whole
+  /// selections, so whichever asks first pays the selection for all three.
   RefStrategy strategy(int g, std::int64_t regs) const;
 
   /// Batched strategy lookup for one whole allocation (regs[g] registers
@@ -102,13 +104,15 @@ class RefModel {
     return curve != nullptr && curve->covers(g, regs) ? curve : nullptr;
   }
 
+  /// The memoized selection for (g, regs), computed on a miss.
+  const StrategyChoice& choice(int g, std::int64_t regs) const;
+
   Kernel kernel_;
   ModelOptions options_;
   std::vector<RefGroup> groups_;
   std::vector<ReuseInfo> reuse_;
   mutable std::shared_mutex mu_;
-  mutable std::map<std::pair<int, std::int64_t>, GroupCounts> cache_;
-  mutable std::map<std::pair<int, std::int64_t>, RefStrategy> strategy_cache_;
+  mutable std::map<std::pair<int, std::int64_t>, StrategyChoice> choices_;
   mutable MemoTable cycle_memo_;
   // Access-curve publication: built under curve_mu_, then published through
   // the atomic for lock-free readers. Superseded (smaller) tables are kept

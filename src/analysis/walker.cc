@@ -60,13 +60,41 @@ RefStrategy choose_strategy(const ReuseInfo& info, std::int64_t regs,
   return strategy;
 }
 
-void WindowTracker::ElementSet::reset(std::size_t expected_elements) {
+void WindowTracker::ElementMap::reset(std::size_t expected_elements) {
+  check(expected_elements <= static_cast<std::size_t>(INT32_MAX),
+        "register window too large to index");
   std::size_t capacity = 8;
   while (capacity < expected_elements * 2) capacity *= 2;
-  keys_.assign(capacity, 0);
-  epochs_.assign(capacity, 0);
+  slots_.assign(capacity, Slot{});
   mask_ = capacity - 1;
   epoch_ = 1;
+}
+
+void WindowTracker::ElementMap::clear() {
+  if (++epoch_ == 0) {  // wrapped: retire every stamp, then restart at 1
+    for (Slot& slot : slots_) slot.epoch = 0;
+    epoch_ = 1;
+  }
+}
+
+void WindowTracker::ElementMap::erase(std::int64_t element) {
+  std::size_t hole = home(element);
+  while (slots_[hole].epoch == epoch_ && slots_[hole].key != element) {
+    hole = (hole + 1) & mask_;
+  }
+  if (slots_[hole].epoch != epoch_) return;  // absent
+  // Backward shift: pull every later entry of the probe run whose home does
+  // not lie cyclically in (hole, next] into the hole, so the run stays
+  // contiguous and lookups can stop at the first empty slot.
+  for (std::size_t next = (hole + 1) & mask_; slots_[next].epoch == epoch_;
+       next = (next + 1) & mask_) {
+    const std::size_t displacement = (next - home(slots_[next].key)) & mask_;
+    if (displacement >= ((next - hole) & mask_)) {
+      slots_[hole] = slots_[next];
+      hole = next;
+    }
+  }
+  slots_[hole].epoch = 0;
 }
 
 WindowTracker::WindowTracker(const Kernel& kernel, const RefGroup& group,
@@ -80,6 +108,7 @@ WindowTracker::WindowTracker(const Kernel& kernel, const RefGroup& group,
   }
   if (strategy_.holds()) {
     rank_members_.reset(static_cast<std::size_t>(strategy_.held_limit));
+    held_index_.reset(static_cast<std::size_t>(strategy_.held_limit));
   }
 }
 
@@ -109,6 +138,7 @@ void WindowTracker::flush_all(const EventSink& sink, bool steady) {
     emit(sink, event);
   }
   held_.clear();
+  held_index_.clear();
 }
 
 std::vector<WindowTracker::HeldElement> WindowTracker::held_snapshot(
@@ -152,12 +182,16 @@ void WindowTracker::append_state_signature(std::int64_t offset,
 }
 
 void WindowTracker::translate_held(std::int64_t delta) {
-  for (Held& held : held_) held.element += delta;
+  held_index_.clear();
+  for (std::size_t i = 0; i < held_.size(); ++i) {
+    held_[i].element += delta;
+    held_index_.set(held_[i].element, static_cast<std::int64_t>(i));
+  }
   if (!rank_order_.empty()) {
     rank_members_.clear();
     for (std::int64_t& element : rank_order_) {
       element += delta;
-      rank_members_.insert(element);
+      rank_members_.set(element, 0);
     }
   }
 }
@@ -234,7 +268,7 @@ AccessEvent WindowTracker::on_access(srra::span<const std::int64_t> iteration, b
   if (!in_window &&
       static_cast<std::int64_t>(rank_order_.size()) < strategy_.held_limit) {
     rank_order_.push_back(element);
-    rank_members_.insert(element);
+    rank_members_.set(element, 0);
     in_window = true;
   }
 
@@ -246,11 +280,11 @@ AccessEvent WindowTracker::on_access(srra::span<const std::int64_t> iteration, b
   }
 
   ++seq_;
-  const auto held_it = std::find_if(held_.begin(), held_.end(),
-                                    [&](const Held& h) { return h.element == element; });
-  if (held_it != held_.end()) {
-    held_it->last_touch = seq_;
-    if (is_write) held_it->dirty = true;
+  const std::int64_t resident = held_index_.find(element);
+  if (resident >= 0) {
+    Held& held = held_[static_cast<std::size_t>(resident)];
+    held.last_touch = seq_;
+    if (is_write) held.dirty = true;
     event.kind = is_write ? AccessKind::kRegWrite : AccessKind::kRegHit;
     event.steady = false;
     emit(sink, event);
@@ -272,9 +306,15 @@ AccessEvent WindowTracker::on_access(srra::span<const std::int64_t> iteration, b
       flush.steady = !at_last_carry_value();
       emit(sink, flush);
     }
-    held_.erase(victim);
+    // Erase in place (storage order is observable) and re-index the tail
+    // that shifted down: O(held_limit), like the victim scan itself.
+    held_index_.erase(victim->element);
+    for (auto h = held_.erase(victim); h != held_.end(); ++h) {
+      held_index_.set(h->element, h - held_.begin());
+    }
   }
 
+  held_index_.set(element, static_cast<std::int64_t>(held_.size()));
   held_.push_back(Held{element, is_write, seq_});
   if (is_write) {
     // Whole-element overwrite: no fill needed.

@@ -181,41 +181,56 @@ class WindowTracker {
     std::uint64_t last_touch = 0;
   };
 
-  // Epoch-stamped open-addressing membership set for the first-touch window
-  // list: clear() is O(1) (bump the epoch), so the per-carry-iteration reset
-  // costs nothing and the per-access membership probe is O(1) instead of a
-  // linear scan over up to held_limit elements.
-  class ElementSet {
+  // Epoch-stamped open-addressing map from element index to a small
+  // non-negative value, with linear probing. clear() is O(1) (bump the
+  // epoch), so the per-carry-iteration reset costs nothing; erase() is
+  // backward-shift deletion, so probes never wade through tombstones. It
+  // serves both as the first-touch membership set (values unused) and as
+  // the resident index (value = position in held_), making every
+  // per-access probe O(1) instead of a linear scan over up to held_limit
+  // elements.
+  class ElementMap {
    public:
     void reset(std::size_t expected_elements);
-    bool contains(std::int64_t element) const {
-      if (keys_.empty()) return false;
-      std::size_t slot = hash(element);
-      while (epochs_[slot] == epoch_) {
-        if (keys_[slot] == element) return true;
+    /// The value stored for `element`, or -1 when absent.
+    std::int64_t find(std::int64_t element) const {
+      if (slots_.empty()) return -1;
+      std::size_t slot = home(element);
+      while (slots_[slot].epoch == epoch_) {
+        if (slots_[slot].key == element) return slots_[slot].value;
         slot = (slot + 1) & mask_;
       }
-      return false;
+      return -1;
     }
-    void insert(std::int64_t element) {
-      std::size_t slot = hash(element);
-      while (epochs_[slot] == epoch_) slot = (slot + 1) & mask_;
-      keys_[slot] = element;
-      epochs_[slot] = epoch_;
+    bool contains(std::int64_t element) const { return find(element) >= 0; }
+    /// Inserts `element`, or overwrites its value when present.
+    void set(std::int64_t element, std::int64_t value) {
+      std::size_t slot = home(element);
+      while (slots_[slot].epoch == epoch_ && slots_[slot].key != element) {
+        slot = (slot + 1) & mask_;
+      }
+      slots_[slot] = Slot{element, epoch_, static_cast<std::int32_t>(value)};
     }
-    void clear() { ++epoch_; }
+    /// Removes `element` if present.
+    void erase(std::int64_t element);
+    void clear();
 
    private:
-    std::size_t hash(std::int64_t element) const {
+    // 16 bytes: two maps per holding tracker, sized for its whole window.
+    struct Slot {
+      std::int64_t key = 0;
+      std::uint32_t epoch = 0;  ///< live iff equal to epoch_ (never 0)
+      std::int32_t value = 0;
+    };
+    std::size_t home(std::int64_t element) const {
       return static_cast<std::size_t>(static_cast<std::uint64_t>(element) *
                                       0x9E3779B97F4A7C15ull >>
                                       33) &
              mask_;
     }
-    std::vector<std::int64_t> keys_;
-    std::vector<std::uint64_t> epochs_;
+    std::vector<Slot> slots_;
     std::size_t mask_ = 0;
-    std::uint64_t epoch_ = 1;
+    std::uint32_t epoch_ = 1;
   };
 
   bool at_first_carry_value() const;
@@ -241,8 +256,12 @@ class WindowTracker {
   // needed. rank_members_ mirrors the list as an O(1) membership probe (the
   // list itself stays the source of truth for signatures and translation).
   std::vector<std::int64_t> rank_order_;
-  ElementSet rank_members_;
-  std::vector<Held> held_;                      // resident elements (<= held_limit)
+  ElementMap rank_members_;
+  // Resident elements (<= held_limit) in storage order — the order
+  // flush_all emits and append_state_signature records, so it is part of
+  // the observable behavior — and their index: element -> position.
+  std::vector<Held> held_;
+  ElementMap held_index_;
   std::vector<std::int64_t> wrote_this_iter_;   // forwarding info
   std::uint64_t seq_ = 0;
 };

@@ -35,23 +35,26 @@ ExploreResult explore(EnumeratedSpace space, const ExploreOptions& options) {
   result.results.resize(space.points.size());
   const std::vector<std::vector<int>> groups = space.points_by_variant();
 
+  ThreadPool pool(options.jobs);
+
   // One shared RefModel per nest piece of every variant (main first, then
   // the peeled epilogues — most variants have exactly one piece): the model
-  // caches (access counts, strategy selections, cycle-model memo) are
+  // caches (strategy selections with their counts, cycle-model memo) are
   // thread-safe, so every shard of the variant reuses the same analysis
   // instead of redoing grouping, reuse and counting per shard. Results
   // cannot depend on sharing: every cached value is a deterministic
   // function of its key, so reports stay byte-identical for any --jobs.
-  std::vector<std::vector<std::unique_ptr<RefModel>>> models;
-  models.reserve(space.variants.size());
-  for (const Variant& variant : space.variants) {
-    std::vector<std::unique_ptr<RefModel>> pieces;
+  // The models are built on the pool too, each into its variant's own
+  // preallocated slot.
+  std::vector<std::vector<std::unique_ptr<RefModel>>> models(space.variants.size());
+  pool.parallel_for(static_cast<std::int64_t>(space.variants.size()), [&](std::int64_t v) {
+    const Variant& variant = space.variants[static_cast<std::size_t>(v)];
+    std::vector<std::unique_ptr<RefModel>>& pieces = models[static_cast<std::size_t>(v)];
     pieces.push_back(std::make_unique<RefModel>(variant.kernel.clone()));
     for (const Kernel& epilogue : variant.epilogues) {
       pieces.push_back(std::make_unique<RefModel>(epilogue.clone()));
     }
-    models.push_back(std::move(pieces));
-  }
+  });
 
   // The whole budget axis of one (variant, algorithm) collapses into one
   // frontier evaluation per piece; per-budget allocations are slices of it.
@@ -95,7 +98,6 @@ ExploreResult explore(EnumeratedSpace space, const ExploreOptions& options) {
     }
   }
 
-  ThreadPool pool(options.jobs);
   pool.parallel_for(static_cast<std::int64_t>(units.size()), [&](std::int64_t u) {
     const Unit& unit = units[static_cast<std::size_t>(u)];
     const auto& piece_models = models[static_cast<std::size_t>(unit.variant)];

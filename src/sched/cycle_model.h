@@ -54,11 +54,14 @@ struct CycleReport {
   }
 };
 
-/// Tmem / Texec for `allocation`. Evaluates the window policy over one
-/// periodic instance and scales (O(window); see analysis/periodic.h), and
-/// memoizes the report on `model` keyed by (per-group strategy vector,
-/// options) — budget sweeps whose allocations saturate hit the memo. Set
-/// options.full_iteration_walk for the whole-space reference walk.
+/// Tmem / Texec for `allocation`. Under the default serial FSM the report
+/// is the model's per-group counter totals minus the reads concurrent fetch
+/// hides, which a collapsed walk of only the coupled groups counts
+/// (DESIGN.md §6, §8); the list-schedule ablation walks every group jointly
+/// (O(window); see analysis/periodic.h). Reports are memoized on `model`
+/// keyed by (per-group strategy vector, options) — budget sweeps whose
+/// allocations saturate hit the memo. Set options.full_iteration_walk for
+/// the whole-space reference walk.
 CycleReport estimate_cycles(const RefModel& model, const Allocation& allocation,
                             const CycleOptions& options = {});
 

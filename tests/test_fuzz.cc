@@ -208,6 +208,41 @@ TEST_P(Fuzz, TransformedKernelCycleReportMatchesFullWalk) {
   EXPECT_EQ(fast.iterations, full.iterations) << context();
 }
 
+// The paper's three allocators under both fetch modes on a transformed
+// kernel: the default path (per-group counters minus the overlap walk of
+// the coupled groups) against the full iteration-space walk.
+TEST_P(Fuzz, TransformedKernelCycleReportsMatchFullWalkUnderPaperAllocators) {
+  SCOPED_TRACE(replay_hint());
+  Rng rng(seed() * 37447 + 23);
+  const Kernel base = random_kernel(rng);
+  const std::vector<LoopTransform> sequence = testing::random_transforms(rng, base);
+  const RefModel model(std::move(
+      apply_peeled(base, srra::span<const LoopTransform>(sequence.data(), sequence.size()))
+          .main));
+  const std::int64_t budget = model.group_count() + rng.uniform(0, 20);
+  const auto context = [&] {
+    return cat("sequence ",
+               to_string(srra::span<const LoopTransform>(sequence.data(), sequence.size())),
+               " budget ", budget, "\n", kernel_to_string(model.kernel()));
+  };
+  for (const Algorithm alg : {Algorithm::kFrRa, Algorithm::kPrRa, Algorithm::kCpaRa}) {
+    const Allocation a = allocate(alg, model, budget);
+    for (const bool concurrent : {true, false}) {
+      SCOPED_TRACE(cat(algorithm_name(alg), concurrent ? " concurrent" : " serial"));
+      CycleOptions fast;
+      fast.concurrent_operand_fetch = concurrent;
+      CycleOptions oracle = fast;
+      oracle.full_iteration_walk = true;
+      const CycleReport got = estimate_cycles(model, a, fast);
+      const CycleReport want = estimate_cycles(model, a, oracle);
+      EXPECT_EQ(got.mem_cycles, want.mem_cycles) << context();
+      EXPECT_EQ(got.ram_accesses, want.ram_accesses) << context();
+      EXPECT_EQ(got.exec_cycles, want.exec_cycles) << context();
+      EXPECT_EQ(got.iterations, want.iterations) << context();
+    }
+  }
+}
+
 TEST_P(Fuzz, PrintParseRoundTrip) {
   SCOPED_TRACE(replay_hint());
   Rng rng(seed() * 15485863 + 7);

@@ -1,11 +1,20 @@
 // Tests of the normative access model (DESIGN.md §6) against the numbers
 // derivable from the paper's worked example (Figure 2(c)): the per-group
 // steady-state RAM access counts under the FR/PR/CPA register assignments.
+// WalkerFuzz checks the tracker's resident index against a linear-scan
+// reference tracker on random kernels (SRRA_FUZZ_SEED / SRRA_FUZZ_ITERS).
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <sstream>
 
 #include "analysis/walker.h"
 #include "ir/parser.h"
+#include "ir/printer.h"
 #include "kernels/kernels.h"
+#include "random_kernel.h"
+#include "support/rng.h"
+#include "support/str.h"
 
 namespace srra {
 namespace {
@@ -200,6 +209,261 @@ TEST(Walker, IterationAdvance) {
   EXPECT_EQ(seen[1], (std::vector<std::int64_t>{0, 2}));
   EXPECT_EQ(seen[2], (std::vector<std::int64_t>{2, 1}));
   EXPECT_EQ(seen[3], (std::vector<std::int64_t>{2, 2}));
+}
+
+// Test-only reference tracker: the window policy with the resident set
+// kept as a plain vector and found by linear scan, as WindowTracker did
+// before it indexed residents by element. The collapsed-vs-full oracles
+// cannot catch a tracker bug (both paths drive the same WindowTracker), so
+// the differential test below compares the two trackers directly.
+class LinearScanTracker {
+ public:
+  LinearScanTracker(const Kernel& kernel, const RefGroup& group, RefStrategy strategy)
+      : kernel_(kernel), group_(group), strategy_(strategy) {}
+
+  void begin_iteration(const std::vector<std::int64_t>& iteration,
+                       std::vector<AccessEvent>& out) {
+    wrote_.clear();
+    if (!initialized_ || !strategy_.holds()) {
+      initialized_ = true;
+      cur_ = iteration;
+      return;
+    }
+    const auto l = static_cast<std::size_t>(strategy_.carry_level);
+    const bool window_changed =
+        !std::equal(cur_.begin(), cur_.begin() + static_cast<std::ptrdiff_t>(l),
+                    iteration.begin());
+    if (window_changed) flush_all(!at_last_carry_value(), out);
+    if (window_changed || cur_[l] != iteration[l]) rank_order_.clear();
+    cur_ = iteration;
+  }
+
+  void on_access(const std::vector<std::int64_t>& iteration, bool is_write, int stmt,
+                 int order, std::vector<AccessEvent>& out) {
+    AccessEvent event;
+    event.group = group_.id;
+    event.element = element_at(kernel_, group_.access, iteration);
+    event.stmt = stmt;
+    event.order = order;
+    const bool wrote =
+        std::find(wrote_.begin(), wrote_.end(), event.element) != wrote_.end();
+    if (!is_write && wrote) {
+      event.kind = AccessKind::kForward;
+      event.steady = false;
+      out.push_back(event);
+      return;
+    }
+    if (is_write && !wrote) wrote_.push_back(event.element);
+    bool in_window = std::find(rank_order_.begin(), rank_order_.end(), event.element) !=
+                     rank_order_.end();
+    if (strategy_.holds() && !in_window &&
+        static_cast<std::int64_t>(rank_order_.size()) < strategy_.held_limit) {
+      rank_order_.push_back(event.element);
+      in_window = true;
+    }
+    if (!strategy_.holds() || !in_window) {
+      event.kind = is_write ? AccessKind::kMissWrite : AccessKind::kMissRead;
+      event.steady = true;
+      out.push_back(event);
+      return;
+    }
+    ++seq_;
+    const auto held = std::find_if(held_.begin(), held_.end(),
+                                   [&](const Held& h) { return h.element == event.element; });
+    if (held != held_.end()) {
+      held->last_touch = seq_;
+      held->dirty = held->dirty || is_write;
+      event.kind = is_write ? AccessKind::kRegWrite : AccessKind::kRegHit;
+      event.steady = false;
+      out.push_back(event);
+      return;
+    }
+    if (static_cast<std::int64_t>(held_.size()) >= strategy_.held_limit) {
+      const auto victim = std::min_element(
+          held_.begin(), held_.end(),
+          [](const Held& a, const Held& b) { return a.last_touch < b.last_touch; });
+      if (victim->dirty) out.push_back(flush_event(victim->element, !at_last_carry_value()));
+      held_.erase(victim);
+      ++evictions_;
+    }
+    held_.push_back(Held{event.element, is_write, seq_});
+    event.kind = is_write ? AccessKind::kRegWrite : AccessKind::kFill;
+    event.steady = !is_write && !at_first_carry_value();
+    out.push_back(event);
+  }
+
+  void finish(std::vector<AccessEvent>& out) {
+    if (initialized_ && strategy_.holds()) flush_all(!at_last_carry_value(), out);
+  }
+
+  std::int64_t evictions() const { return evictions_; }
+
+  void translate_held(std::int64_t delta) {
+    for (Held& h : held_) h.element += delta;
+    for (std::int64_t& element : rank_order_) element += delta;
+  }
+
+  void append_state_signature(std::int64_t offset, std::vector<std::int64_t>& out) const {
+    out.push_back(static_cast<std::int64_t>(rank_order_.size()));
+    for (const std::int64_t element : rank_order_) out.push_back(element - offset);
+    out.push_back(static_cast<std::int64_t>(held_.size()));
+    std::uint64_t base = 0;
+    for (std::size_t i = 0; i < held_.size(); ++i) {
+      if (i == 0 || held_[i].last_touch < base) base = held_[i].last_touch;
+    }
+    for (const Held& h : held_) {
+      out.push_back(h.element - offset);
+      out.push_back(h.dirty ? 1 : 0);
+      out.push_back(static_cast<std::int64_t>(h.last_touch - base));
+    }
+  }
+
+ private:
+  struct Held {
+    std::int64_t element;
+    bool dirty;
+    std::uint64_t last_touch;
+  };
+
+  AccessEvent flush_event(std::int64_t element, bool steady) const {
+    AccessEvent flush;
+    flush.kind = AccessKind::kFlush;
+    flush.group = group_.id;
+    flush.element = element;
+    flush.steady = steady;
+    return flush;
+  }
+  void flush_all(bool steady, std::vector<AccessEvent>& out) {
+    for (const Held& h : held_) {
+      if (h.dirty) out.push_back(flush_event(h.element, steady));
+    }
+    held_.clear();
+  }
+  bool at_first_carry_value() const {
+    const int l = strategy_.carry_level;
+    return cur_[static_cast<std::size_t>(l)] == kernel_.loop(l).lower;
+  }
+  bool at_last_carry_value() const {
+    const Loop& loop = kernel_.loop(strategy_.carry_level);
+    return cur_[static_cast<std::size_t>(strategy_.carry_level)] ==
+           loop.value_at(loop.trip_count() - 1);
+  }
+
+  const Kernel& kernel_;
+  const RefGroup& group_;
+  RefStrategy strategy_;
+  bool initialized_ = false;
+  std::vector<std::int64_t> cur_;
+  std::vector<std::int64_t> rank_order_;
+  std::vector<Held> held_;
+  std::vector<std::int64_t> wrote_;
+  std::uint64_t seq_ = 0;
+  std::int64_t evictions_ = 0;
+};
+
+std::string describe(const std::vector<AccessEvent>& events) {
+  std::ostringstream os;
+  for (const AccessEvent& e : events) {
+    os << " (" << static_cast<int>(e.kind) << " e" << e.element << (e.steady ? " s" : " -")
+       << " o" << e.order << ")";
+  }
+  return os.str();
+}
+
+bool same_events(const std::vector<AccessEvent>& a, const std::vector<AccessEvent>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const AccessEvent& x, const AccessEvent& y) {
+                      return x.kind == y.kind && x.group == y.group &&
+                             x.element == y.element && x.steady == y.steady &&
+                             x.stmt == y.stmt && x.order == y.order;
+                    });
+}
+
+// Drives the indexed tracker and the linear-scan reference through the
+// whole iteration space under one strategy, interleaving random
+// translate_held calls, and compares every event and the state signature
+// after every iteration. Returns the reference's eviction count.
+std::int64_t expect_trackers_agree(const Kernel& kernel, const RefGroup& group,
+                                   RefStrategy strategy, Rng& rng,
+                                   const std::string& context) {
+  WindowTracker indexed(kernel, group, strategy);
+  LinearScanTracker reference(kernel, group, strategy);
+  std::vector<AccessEvent> got;
+  std::vector<AccessEvent> want;
+  const auto collect = [&got](const AccessEvent& e) { got.push_back(e); };
+  const EventSink sink(collect);
+  std::vector<std::int64_t> iter = first_iteration(kernel);
+  std::int64_t step = 0;
+  do {
+    got.clear();
+    want.clear();
+    indexed.begin_iteration(iter, sink);
+    reference.begin_iteration(iter, want);
+    for (const RefOccurrence& occ : group.occurrences) {
+      const AccessEvent returned = indexed.on_access(iter, occ.is_write, occ.stmt, occ.order, sink);
+      reference.on_access(iter, occ.is_write, occ.stmt, occ.order, want);
+      EXPECT_TRUE(same_events({returned}, {want.back()})) << context;
+    }
+    EXPECT_TRUE(same_events(got, want))
+        << context << " iteration " << step << "\n  indexed:" << describe(got)
+        << "\n  linear: " << describe(want);
+    if (rng.uniform(0, 7) == 0) {
+      const std::int64_t delta = rng.uniform(-3, 3);
+      indexed.translate_held(delta);
+      reference.translate_held(delta);
+    }
+    const std::int64_t offset = rng.uniform(-4, 4);
+    std::vector<std::int64_t> got_state;
+    std::vector<std::int64_t> want_state;
+    indexed.append_state_signature(offset, got_state);
+    reference.append_state_signature(offset, want_state);
+    EXPECT_EQ(got_state, want_state) << context << " iteration " << step;
+    if (::testing::Test::HasFailure()) return reference.evictions();
+    ++step;
+  } while (next_iteration(kernel, iter));
+  got.clear();
+  want.clear();
+  indexed.finish(sink);
+  reference.finish(want);
+  EXPECT_TRUE(same_events(got, want)) << context << " finish\n  indexed:" << describe(got)
+                                      << "\n  linear: " << describe(want);
+  return reference.evictions();
+}
+
+TEST(WalkerFuzz, IndexedResidentSetMatchesLinearScan) {
+  const int iters = fuzz_iters();
+  std::int64_t strategies = 0;
+  std::int64_t evictions = 0;
+  for (int i = 0; i < iters; ++i) {
+    const std::uint64_t seed = fuzz_seed() + static_cast<std::uint64_t>(i);
+    SCOPED_TRACE(cat("fuzz seed ", seed, " — replay with SRRA_FUZZ_SEED=", seed,
+                     " SRRA_FUZZ_ITERS=1 ./test_walker"));
+    Rng rng(seed * 60493 + 29);
+    const Ctx s = make_ctx(testing::random_kernel(rng));
+    for (std::size_t g = 0; g < s.groups.size(); ++g) {
+      const ReuseInfo& info = s.reuse[g];
+      // No holding, then every window size from a single register to one
+      // past full coverage at every carrying level: full, partial (evicting)
+      // and oversized windows.
+      std::vector<RefStrategy> candidates{RefStrategy{}};
+      for (const CarryLevel& cl : info.levels) {
+        for (std::int64_t held = 1; held <= info.beta_full() + 1; ++held) {
+          candidates.push_back(RefStrategy{cl.level, held});
+        }
+      }
+      for (const RefStrategy& strategy : candidates) {
+        evictions += expect_trackers_agree(
+            s.kernel, s.groups[g], strategy, rng,
+            cat(s.groups[g].display, " carry ", strategy.carry_level, " held ",
+                strategy.held_limit, "\n", kernel_to_string(s.kernel)));
+        ++strategies;
+        if (HasFailure()) return;
+      }
+    }
+  }
+  // The sweep is only meaningful if it exercised evicting windows.
+  EXPECT_GT(evictions, 0);
+  EXPECT_GT(strategies, iters);
 }
 
 }  // namespace
