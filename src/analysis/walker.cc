@@ -1,6 +1,7 @@
 #include "analysis/walker.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "analysis/periodic.h"
 #include "support/error.h"
@@ -99,12 +100,28 @@ void WindowTracker::ElementMap::erase(std::int64_t element) {
 
 WindowTracker::WindowTracker(const Kernel& kernel, const RefGroup& group,
                              RefStrategy strategy)
-    : kernel_(kernel), group_(group), strategy_(strategy) {
+    : group_(group), strategy_(strategy) {
   const AffineExpr flat = linearize_access(kernel, group.access);
   elem_const_ = flat.constant_term();
   elem_coeffs_.resize(static_cast<std::size_t>(flat.depth()));
   for (int l = 0; l < flat.depth(); ++l) {
     elem_coeffs_[static_cast<std::size_t>(l)] = flat.coeff(l);
+  }
+  levels_.resize(elem_coeffs_.size());
+  for (int l = kernel.depth() - 1; l >= 0; --l) {
+    const auto at = static_cast<std::size_t>(l);
+    const Loop& loop = kernel.loop(l);
+    LevelSpan& span = levels_[at];
+    span.lower = loop.lower;
+    span.step = loop.step;
+    span.trip = loop.trip_count();
+    if (at + 1 == levels_.size()) continue;
+    const LevelSpan& below = levels_[at + 1];
+    const std::int64_t first = elem_coeffs_[at + 1] * below.lower;
+    const std::int64_t last = elem_coeffs_[at + 1] * (below.lower + (below.trip - 1) * below.step);
+    span.below_iterations = below.below_iterations * below.trip;
+    span.below_min = below.below_min + std::min(first, last);
+    span.below_max = below.below_max + std::max(first, last);
   }
   if (strategy_.holds()) {
     rank_members_.reset(static_cast<std::size_t>(strategy_.held_limit));
@@ -113,14 +130,63 @@ WindowTracker::WindowTracker(const Kernel& kernel, const RefGroup& group,
 }
 
 bool WindowTracker::at_first_carry_value() const {
-  const int l = strategy_.carry_level;
-  return cur_iter_[static_cast<std::size_t>(l)] == kernel_.loop(l).lower;
+  const auto l = static_cast<std::size_t>(strategy_.carry_level);
+  return cur_iter_[l] == levels_[l].lower;
 }
 
 bool WindowTracker::at_last_carry_value() const {
-  const int l = strategy_.carry_level;
-  const Loop& loop = kernel_.loop(l);
-  return cur_iter_[static_cast<std::size_t>(l)] == loop.value_at(loop.trip_count() - 1);
+  const auto l = static_cast<std::size_t>(strategy_.carry_level);
+  const LevelSpan& span = levels_[l];
+  return cur_iter_[l] == span.lower + (span.trip - 1) * span.step;
+}
+
+void WindowTracker::clear_rank_window() {
+  rank_order_.clear();
+  rank_members_.clear();
+  rank_min_ = INT64_MAX;
+  rank_max_ = INT64_MIN;
+}
+
+std::int64_t WindowTracker::next_inert_value(int level, std::int64_t value_index,
+                                             srra::span<const std::int64_t> iteration) const {
+  if (!strategy_.holds()) return value_index;
+  const auto at = static_cast<std::size_t>(level);
+  const LevelSpan& span = levels_[at];
+  if (strategy_.carry_level >= level) return span.trip;
+  // A list left from an earlier carry iteration resets at the next
+  // begin_iteration. A list that is not full gains at most one member per
+  // iteration (a group touches one element per iteration), so it cannot
+  // be full before the values that many iterations take.
+  std::int64_t members = static_cast<std::int64_t>(rank_order_.size());
+  const auto carry = static_cast<std::size_t>(strategy_.carry_level);
+  for (std::size_t l = 0; l <= carry && members > 0; ++l) {
+    if (cur_iter_[l] != iteration[l]) members = 0;
+  }
+  if (members < strategy_.held_limit) {
+    const std::int64_t missing = strategy_.held_limit - members;
+    if (missing > (span.trip - 1 - value_index) * span.below_iterations) return span.trip;
+    return value_index + (missing + span.below_iterations - 1) / span.below_iterations;
+  }
+  // The list is full and fixed for the rest of the loop. From value index
+  // j on, the accesses span an interval with one end at the loop's last
+  // value and the other moving by |c|·step per value.
+  std::int64_t base = elem_const_;
+  for (std::size_t l = 0; l < at; ++l) base += elem_coeffs_[l] * iteration[l];
+  const std::int64_t c = elem_coeffs_[at];
+  const std::int64_t at_last = base + c * (span.lower + (span.trip - 1) * span.step);
+  const std::int64_t at_first = base + c * span.lower;
+  std::int64_t gap = 0;  // inert from the first j with |c|·step·j > gap
+  if (c >= 0) {
+    if (rank_min_ > at_last + span.below_max) return value_index;
+    gap = rank_max_ - (at_first + span.below_min);
+  } else {
+    if (rank_max_ < at_last + span.below_min) return value_index;
+    gap = at_first + span.below_max - rank_min_;
+  }
+  if (gap < 0) return value_index;
+  const std::int64_t per_value = (c >= 0 ? c : -c) * span.step;
+  if (gap >= per_value * (span.trip - 1)) return span.trip;
+  return std::max(value_index, gap / per_value + 1);
 }
 
 void WindowTracker::emit(const EventSink& sink, const AccessEvent& event) {
@@ -141,24 +207,19 @@ void WindowTracker::flush_all(const EventSink& sink, bool steady) {
   held_index_.clear();
 }
 
-std::vector<WindowTracker::HeldElement> WindowTracker::held_snapshot(
-    std::int64_t offset) const {
-  // Reduce last_touch to its rank among residents (absolute sequence
-  // numbers grow forever; only the relative recency order matters).
-  std::vector<std::size_t> by_touch(held_.size());
-  for (std::size_t i = 0; i < held_.size(); ++i) by_touch[i] = i;
-  std::sort(by_touch.begin(), by_touch.end(), [&](std::size_t a, std::size_t b) {
-    return held_[a].last_touch < held_[b].last_touch;
-  });
-  std::vector<HeldElement> snapshot(held_.size());
-  for (std::size_t r = 0; r < by_touch.size(); ++r) {
-    const Held& held = held_[by_touch[r]];
-    snapshot[by_touch[r]] =
-        HeldElement{held.element - offset, held.dirty, static_cast<int>(r)};
+void WindowTracker::append_resident_snapshot(std::int64_t offset,
+                                             std::vector<std::int64_t>& out) const {
+  // Residents in recency order: their positions are the touch ranks, so
+  // absolute sequence numbers (which grow forever) drop out, and two
+  // snapshots are equal exactly when their (element, dirty, rank) sets are.
+  std::vector<std::pair<std::uint64_t, std::size_t>> by_touch(held_.size());
+  for (std::size_t i = 0; i < held_.size(); ++i) by_touch[i] = {held_[i].last_touch, i};
+  std::sort(by_touch.begin(), by_touch.end());
+  out.push_back(static_cast<std::int64_t>(held_.size()));
+  for (const auto& [touch, i] : by_touch) {
+    out.push_back(held_[i].element - offset);
+    out.push_back(held_[i].dirty ? 1 : 0);
   }
-  std::sort(snapshot.begin(), snapshot.end(),
-            [](const HeldElement& a, const HeldElement& b) { return a.element < b.element; });
-  return snapshot;
 }
 
 void WindowTracker::append_state_signature(std::int64_t offset,
@@ -193,6 +254,8 @@ void WindowTracker::translate_held(std::int64_t delta) {
       element += delta;
       rank_members_.set(element, 0);
     }
+    rank_min_ += delta;
+    rank_max_ += delta;
   }
 }
 
@@ -223,11 +286,9 @@ void WindowTracker::begin_iteration(srra::span<const std::int64_t> iteration,
     // last value (lexicographic order), so these flushes live in back-peeled
     // code and are steady-state-excluded.
     flush_all(sink, /*steady=*/!at_last_carry_value());
-    rank_order_.clear();
-    rank_members_.clear();
+    clear_rank_window();
   } else if (carry_changed) {
-    rank_order_.clear();
-    rank_members_.clear();
+    clear_rank_window();
   }
   cur_iter_.assign(iteration.begin(), iteration.end());
 }
@@ -269,6 +330,8 @@ AccessEvent WindowTracker::on_access(srra::span<const std::int64_t> iteration, b
       static_cast<std::int64_t>(rank_order_.size()) < strategy_.held_limit) {
     rank_order_.push_back(element);
     rank_members_.set(element, 0);
+    rank_min_ = std::min(rank_min_, element);
+    rank_max_ = std::max(rank_max_, element);
     in_window = true;
   }
 
@@ -406,7 +469,7 @@ GroupCounts count_group_accesses_full(const Kernel& kernel, const RefGroup& grou
 
 namespace {
 
-// One counting pass for a fixed strategy: the periodic collapse by default,
+// One counting pass for a fixed strategy: the nested collapse by default,
 // the full-walk oracle when requested.
 GroupCounts run_group_pass(const Kernel& kernel, const RefGroup& group,
                            RefStrategy strategy, const ModelOptions& options) {

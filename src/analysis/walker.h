@@ -91,9 +91,9 @@ struct ModelOptions {
   /// carrying level fully fits (default off: it is the operand latch).
   bool single_register_holding = false;
   /// Count accesses with the full iteration-space walk instead of the
-  /// periodic collapse (analysis/periodic.h). The two are bit-identical
+  /// nested collapse (analysis/periodic.h). The two are bit-identical
   /// (cross-checked in test_periodic); the full walk is the reference
-  /// oracle and is O(iteration space) rather than O(window).
+  /// oracle and walks every iteration of the nest.
   bool full_walk_oracle = false;
 };
 
@@ -135,33 +135,22 @@ class WindowTracker {
 
   const RefStrategy& strategy() const { return strategy_; }
 
-  /// One resident element in a normalized state snapshot.
-  struct HeldElement {
-    std::int64_t element = 0;  ///< element index minus the caller's offset
-    bool dirty = false;
-    int touch_rank = 0;  ///< recency rank among residents (0 = oldest)
-
-    bool operator==(const HeldElement& other) const {
-      return element == other.element && dirty == other.dirty &&
-             touch_rank == other.touch_rank;
-    }
-  };
-
-  /// Normalized snapshot of the cross-carry-iteration state (the resident
-  /// elements; touch ranks and other per-carry-iteration state reset at
-  /// every carry boundary). Entries are sorted by element, each shifted by
-  /// -`offset`. Two trackers whose snapshots agree behave identically over
-  /// any continuation whose accesses are shifted by the same offset — the
-  /// periodicity test analysis/periodic.h relies on. Only valid at the
-  /// tracker's own carry boundaries, where the first-touch membership list
-  /// has just reset; mid-carry state comparisons need
-  /// append_state_signature.
-  std::vector<HeldElement> held_snapshot(std::int64_t offset) const;
+  /// Appends a normalized snapshot of the cross-carry-iteration state to
+  /// `out`: the resident count, then the residents from least to most
+  /// recently touched, each as its element shifted by -`offset` and its
+  /// dirty bit. The first-touch list and other per-carry-iteration state
+  /// reset at every carry boundary, so two trackers whose snapshots agree
+  /// behave identically over any continuation whose accesses are shifted
+  /// by the same offset — the repeat test of the nested collapse
+  /// (analysis/periodic.h) at a tracker's own carrying loop. Only valid at
+  /// the tracker's own carry boundaries, where the first-touch list is
+  /// about to reset; elsewhere compare append_state_signature.
+  void append_resident_snapshot(std::int64_t offset, std::vector<std::int64_t>& out) const;
 
   /// Appends a strict normalized signature of the *complete* classification
   /// state to `out`: the first-touch window membership and the residents
   /// (dirty flags, relative touch ranks), in storage order, every element
-  /// shifted by -`offset`. Strictly finer than held_snapshot equality and
+  /// shifted by -`offset`. Strictly finer than the resident snapshot and
   /// valid between any two iterations — equal signatures imply identical
   /// behavior over offset-shifted continuations. Storage order makes it
   /// conservative: a repeat can be detected late (the walk then just keeps
@@ -171,8 +160,33 @@ class WindowTracker {
   /// Shifts every element the state remembers (residents and the
   /// first-touch membership list) by `delta`: fast-forwards the tracker
   /// across iterations whose event streams are translations of each other
-  /// (analysis/periodic.h, the cycle model's nested collapse).
+  /// (the nested collapse, analysis/periodic.h).
   void translate_held(std::int64_t delta);
+
+  /// Element shift of the group per single step of loop `level` (constant,
+  /// because accesses are affine): the translation the nested collapse
+  /// normalizes state by and fast-forwards with.
+  std::int64_t element_shift(int level) const {
+    const auto at = static_cast<std::size_t>(level);
+    return elem_coeffs_[at] * levels_[at].step;
+  }
+
+  /// Rule 1 of the nested collapse (DESIGN.md §8). Loop `level` is about
+  /// to run value index `value_index`, the loops above fixed at
+  /// `iteration`. The tracker is *inert* from a value on when the loop's
+  /// remaining values, the loops below free, can no longer change its
+  /// state: it holds nothing, or its carrying loop is above `level`, its
+  /// first-touch list is full and no member lies in the element interval
+  /// those iterations span. Every remaining access is then a miss to a
+  /// non-member or a same-iteration forward.
+  ///
+  /// Returns `value_index` when the tracker is inert from it on. Otherwise
+  /// returns the first index at which it may be: the first value by which
+  /// the list can have filled while it fills, the exact first inert value
+  /// once it is full, and the trip count when no value of the loop can be.
+  /// O(depth): the list's extent is kept as it grows.
+  std::int64_t next_inert_value(int level, std::int64_t value_index,
+                                srra::span<const std::int64_t> iteration) const;
 
  private:
   struct Held {
@@ -235,10 +249,10 @@ class WindowTracker {
 
   bool at_first_carry_value() const;
   bool at_last_carry_value() const;
+  void clear_rank_window();
   void flush_all(const EventSink& sink, bool steady);
   void emit(const EventSink& sink, const AccessEvent& event);
 
-  const Kernel& kernel_;
   const RefGroup& group_;
   RefStrategy strategy_;
 
@@ -247,6 +261,18 @@ class WindowTracker {
   // product instead of an array lookup plus per-dimension AffineExpr walks.
   std::int64_t elem_const_ = 0;
   std::vector<std::int64_t> elem_coeffs_;
+  // Per loop level: its range, and what the loops below it contribute over
+  // their whole ranges — iterations, and the least and greatest offset of
+  // the element index (next_inert_value's interval).
+  struct LevelSpan {
+    std::int64_t lower = 0;
+    std::int64_t step = 1;
+    std::int64_t trip = 0;
+    std::int64_t below_iterations = 1;
+    std::int64_t below_min = 0;
+    std::int64_t below_max = 0;
+  };
+  std::vector<LevelSpan> levels_;
 
   bool initialized_ = false;
   std::vector<std::int64_t> cur_iter_;
@@ -257,6 +283,9 @@ class WindowTracker {
   // list itself stays the source of truth for signatures and translation).
   std::vector<std::int64_t> rank_order_;
   ElementMap rank_members_;
+  // The list's least and greatest element (min > max while it is empty).
+  std::int64_t rank_min_ = INT64_MAX;
+  std::int64_t rank_max_ = INT64_MIN;
   // Resident elements (<= held_limit) in storage order — the order
   // flush_all emits and append_state_signature records, so it is part of
   // the observable behavior — and their index: element -> position.
@@ -319,7 +348,7 @@ GroupCounts count_group_accesses(const Kernel& kernel, const RefGroup& group,
                                  const ReuseInfo& reuse, std::int64_t regs,
                                  const ModelOptions& options = {});
 
-/// One counting pass for a fixed strategy: the periodic collapse by
+/// One counting pass for a fixed strategy: the nested collapse by
 /// default, the full-walk oracle under options.full_walk_oracle. This is
 /// the pass select_strategy runs per candidate; the access-curve build
 /// (analysis/curve.cc) memoizes it per distinct strategy across register
@@ -342,7 +371,7 @@ bool strategy_counts_better(const RefStrategy& candidate, const GroupCounts& cou
                             const RefStrategy& best, const GroupCounts& best_counts);
 
 /// Reference oracle: one full iteration-space pass for a fixed strategy.
-/// O(iteration space); the periodic collapse (analysis/periodic.h) must be
+/// O(iteration space); the nested collapse (analysis/periodic.h) must be
 /// bit-identical to this.
 GroupCounts count_group_accesses_full(const Kernel& kernel, const RefGroup& group,
                                       RefStrategy strategy);

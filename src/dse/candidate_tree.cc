@@ -25,13 +25,15 @@ void apply_interchange_abs(AbsState& state, const std::vector<int>& perm) {
 }
 
 // Mirrors ir/transform.cc: a non-dividing size peels the remainder range
-// into an epilogue first; the main range then full-tiles into a tile loop
-// (stride scaled by `size`) over a point loop (original stride).
+// into an epilogue first (ahead of the earlier ones, as it runs before
+// them); the main range then full-tiles into a tile loop (stride scaled by
+// `size`) over a point loop (original stride).
 void apply_tile_abs(AbsState& state, int level, std::int64_t size) {
   const std::size_t l = static_cast<std::size_t>(level);
   const std::int64_t rem = state.trips[l] % size;
   if (rem != 0) {
-    state.epilogue_iterations.push_back(state.main_iterations() / state.trips[l] * rem);
+    state.epilogue_iterations.insert(state.epilogue_iterations.begin(),
+                                     state.main_iterations() / state.trips[l] * rem);
     state.trips[l] -= rem;
   }
   state.trips[l] /= size;

@@ -221,8 +221,9 @@ Kernel with_loop_bounds(const Kernel& kernel, int level, std::int64_t lower,
 // One apply_peeled step on the main piece. A Tile whose size does not
 // divide the trip count first splits the loop at the last full-tile
 // boundary: the main range keeps trip - trip % size iterations (a multiple
-// of the size, so the tile is full-tile), the remainder becomes the next
-// untiled epilogue.
+// of the size, so the tile is full-tile), the remainder becomes an untiled
+// epilogue. The split cuts the current main range, which runs before every
+// earlier epilogue, so the new remainder runs first among them.
 void apply_peeled_step(PeeledNest& nest, const LoopTransform& t) {
   if (t.kind == TransformKind::kTile) {
     check(t.level >= 0 && t.level < nest.main.depth(), "tile level out of range");
@@ -235,7 +236,7 @@ void apply_peeled_step(PeeledNest& nest, const LoopTransform& t) {
       const std::int64_t split = target.lower + (trip - trip % t.amount) * target.step;
       Kernel epilogue = with_loop_bounds(nest.main, t.level, split, target.upper);
       epilogue.set_name(cat(nest.main.name(), "__peel", nest.epilogues.size() + 1));
-      nest.epilogues.push_back(std::move(epilogue));
+      nest.epilogues.insert(nest.epilogues.begin(), std::move(epilogue));
       nest.main = with_loop_bounds(nest.main, t.level, target.lower, split);
     }
   }

@@ -88,10 +88,11 @@ Kernel apply(const Kernel& kernel, srra::span<const LoopTransform> transforms);
 
 /// A transformed nest with remainder epilogues: `main` is the (still
 /// perfect) transformed kernel covering the full-tile range of every peeled
-/// Tile, and `epilogues` are the peeled-off remainder nests, in peel order.
-/// Executing main then every epilogue in order computes exactly what the
-/// source kernel computes (when the sequence is_safe). Most sequences peel
-/// nothing and epilogues is empty.
+/// Tile, and `epilogues` are the peeled-off remainder nests in execution
+/// order — the latest peel first, because it splits the range that runs
+/// before every earlier remainder. Executing main then every epilogue in
+/// order computes exactly what the source kernel computes (when the
+/// sequence is_safe). Most sequences peel nothing and epilogues is empty.
 struct PeeledNest {
   Kernel main;
   std::vector<Kernel> epilogues;
@@ -103,9 +104,9 @@ struct PeeledNest {
 /// size does not divide the target trip count first splits the loop at the
 /// last full-tile boundary — the main range keeps the tile (full-tile by
 /// construction), the remainder becomes an untiled epilogue kernel. Later
-/// transforms apply to the main nest only; epilogues accumulate in peel
-/// order. Throws srra::Error on malformed transforms (size >= trip, bad
-/// levels, non-dividing unroll factors).
+/// transforms apply to the main nest only; each new epilogue goes in front
+/// of the earlier ones. Throws srra::Error on malformed transforms (size >=
+/// trip, bad levels, non-dividing unroll factors).
 PeeledNest apply_peeled(const Kernel& kernel, srra::span<const LoopTransform> transforms);
 
 /// Checked apply_peeled in one stepwise pass: the peeled nest when every

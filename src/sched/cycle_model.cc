@@ -154,24 +154,28 @@ std::int64_t compute_only_length(const Dfg& dfg, const std::vector<int>& array_o
 class CycleWalker {
  public:
   CycleWalker(const RefModel& model, const Dfg& dfg, const std::vector<RefStrategy>& strategies,
-              std::vector<int> walked, const CycleOptions& options)
-      : kernel_(model.kernel()),
-        options_(options),
+              const std::vector<int>& walked, const CycleOptions& options)
+      : options_(options),
         dfg_(dfg),
         cache_(dfg_.node_count()),
-        array_of_group_(arrays_of_groups(model.groups())),
-        walked_(std::move(walked)) {
+        array_of_group_(arrays_of_groups(model.groups())) {
     const std::vector<RefGroup>& groups = model.groups();
     std::vector<int> tracker_of_group(groups.size(), -1);
-    trackers_.reserve(walked_.size());
-    for (const int g : walked_) {
+    trackers_.reserve(walked.size());
+    for (const int g : walked) {
       tracker_of_group[static_cast<std::size_t>(g)] = static_cast<int>(trackers_.size());
-      trackers_.emplace_back(kernel_, groups[static_cast<std::size_t>(g)],
+      trackers_.emplace_back(model.kernel(), groups[static_cast<std::size_t>(g)],
                              strategies[static_cast<std::size_t>(g)]);
     }
-    for (const FlatOccurrence& occ : flatten(groups)) {
+    const std::vector<FlatOccurrence> flat = flatten(groups);
+    occurrence_nodes_.resize(flat.size());
+    for (const FlatOccurrence& occ : flat) {
       const int t = tracker_of_group[static_cast<std::size_t>(occ.group)];
       if (t >= 0) accesses_.push_back(Access{occ, t});
+      check(occ.order >= 0 && occ.order < static_cast<int>(flat.size()),
+            "occurrence order out of range");
+      occurrence_nodes_[static_cast<std::size_t>(occ.order)] =
+          OccurrenceNodes{dfg_.node_for_occurrence(occ.order), dfg_.consumer_op(occ.order)};
     }
     profile_.ram_access.assign(static_cast<std::size_t>(dfg_.node_count()), false);
     sink_ = EventSink(on_event_fn_);
@@ -198,8 +202,6 @@ class CycleWalker {
     for (WindowTracker& t : trackers_) t.finish(sink_);
   }
 
-  /// Walked group ids; trackers()[t] classifies group walked()[t].
-  const std::vector<int>& walked() const { return walked_; }
   std::vector<WindowTracker>& trackers() { return trackers_; }
   WalkTotals& totals() { return totals_; }
 
@@ -211,18 +213,18 @@ class CycleWalker {
       ++flushes_;
       return;
     }
-    const int node = dfg_.node_for_occurrence(e.order);
+    const OccurrenceNodes& nodes = occurrence_nodes_[static_cast<std::size_t>(e.order)];
     switch (e.kind) {
       case AccessKind::kMissRead:
       case AccessKind::kFill:
-        reads_.push_back(PendingRead{dfg_.consumer_op(e.order),
+        reads_.push_back(PendingRead{nodes.consumer,
                                      array_of_group_[static_cast<std::size_t>(e.group)]});
-        profile_.ram_access[static_cast<std::size_t>(node)] = true;
+        profile_.ram_access[static_cast<std::size_t>(nodes.node)] = true;
         break;
       case AccessKind::kMissWrite:
       case AccessKind::kFlush:
         ++writes_;
-        profile_.ram_access[static_cast<std::size_t>(node)] = true;
+        profile_.ram_access[static_cast<std::size_t>(nodes.node)] = true;
         break;
       default:
         break;
@@ -306,6 +308,12 @@ class CycleWalker {
     int tracker = 0;
   };
 
+  // An occurrence's DFG node and consuming op (-1: none), looked up once.
+  struct OccurrenceNodes {
+    int node = -1;
+    int consumer = -1;
+  };
+
   // Named callable the non-owning sink_ references (never moved: the
   // walker is constructed in place and lives for the whole walk).
   struct OnEventFn {
@@ -313,14 +321,13 @@ class CycleWalker {
     void operator()(const AccessEvent& e) const { walker->on_event(e); }
   };
 
-  const Kernel& kernel_;
   const CycleOptions& options_;
   const Dfg& dfg_;
   ScheduleCache cache_;
   std::vector<int> array_of_group_;
-  std::vector<int> walked_;
   std::vector<WindowTracker> trackers_;
   std::vector<Access> accesses_;
+  std::vector<OccurrenceNodes> occurrence_nodes_;  ///< by occurrence order
   OnEventFn on_event_fn_{this};
   EventSink sink_;
 
@@ -347,134 +354,17 @@ WalkTotals walk_full(CycleWalker& walker, const Kernel& kernel) {
   return walker.totals();
 }
 
-// Collapsed walk (DESIGN.md §8): steady-state detection applied at *every*
-// loop level at and below the outermost carrying one, with the loops above
-// it scaled as identical instances. Exact for the same reason the access
-// counters collapse: element indices are affine, so advancing any single
-// loop by one step shifts every group's elements by a constant — once the
-// trackers' combined normalized state repeats across two successive values
-// of a loop (its first and last values walked concretely for the peeled
-// fill/flush accounting), the remaining middle values replay the same
-// charges translated. Collapsing recursively level by level makes the walk
-// cost a product of per-level repeat-detection lengths (typically 3-4)
-// instead of the full sub-space below the carrying level. Trackers are
-// independent of each other, so all of this holds for any subset of the
-// groups — the overlap walk collapses over the coupled groups alone.
-class CollapsedWalk {
- public:
-  CollapsedWalk(CycleWalker& walker, const RefModel& model, int top_level)
-      : walker_(walker), kernel_(model.kernel()), top_level_(top_level) {
-    const std::vector<int>& walked = walker.walked();
-    deltas_.resize(static_cast<std::size_t>(kernel_.depth()));
-    collapsible_.assign(static_cast<std::size_t>(kernel_.depth()), true);
-    for (int l = top_level_; l < kernel_.depth(); ++l) {
-      std::vector<std::int64_t>& deltas = deltas_[static_cast<std::size_t>(l)];
-      deltas.resize(walked.size());
-      for (std::size_t t = 0; t < walked.size(); ++t) {
-        deltas[t] = element_shift_per_step(
-            kernel_, model.groups()[static_cast<std::size_t>(walked[t])], l);
-        // A group mid-carry at this level (its carrying loop is outer) pins
-        // a fixed first-touch window: its state can only repeat under
-        // translation when the level does not move its elements at all.
-        // One moving mid-carry group makes detection at this level
-        // impossible, so don't pay for signatures there.
-        const RefStrategy& s = walker.trackers()[t].strategy();
-        if (s.holds() && s.carry_level < l && deltas[t] != 0) {
-          collapsible_[static_cast<std::size_t>(l)] = false;
-        }
-      }
-    }
-    iter_ = first_iteration(kernel_);
-  }
-
-  void run() { walk_level(top_level_); }
-
- private:
-  void walk_level(int level) {
-    if (level == kernel_.depth()) {
-      walker_.run_iteration(iter_);
-      return;
-    }
-    const Loop& loop = kernel_.loop(level);
-    const std::int64_t trip = loop.trip_count();
-    if (trip <= 3 || !collapsible_[static_cast<std::size_t>(level)]) {
-      // Nothing to gain: either detection could at best elide zero middle
-      // values, or a moving mid-carry window makes a repeat impossible —
-      // the signature bookkeeping would be pure overhead.
-      for (std::int64_t k = 0; k < trip; ++k) {
-        iter_[static_cast<std::size_t>(level)] = loop.value_at(k);
-        walk_level(level + 1);
-      }
-      return;
-    }
-    WalkTotals& totals = walker_.totals();
-    const std::vector<std::int64_t>& deltas = deltas_[static_cast<std::size_t>(level)];
-    // This level's per-value charges, stashed by the walk for the
-    // fast-forward (a local, so every recursion depth has its own).
-    WalkTotals per_value;
-    collapse_carry_loop(
-        trip,
-        [&](std::int64_t k) {
-          iter_[static_cast<std::size_t>(level)] = loop.value_at(k);
-          const WalkTotals before = totals;
-          walk_level(level + 1);
-          per_value = totals - before;
-        },
-        [&](std::int64_t k) {
-          // Joint strict state signature of every tracker, normalized by
-          // this level's per-step element shifts (walker.h): equality
-          // certifies that the remaining middle values replay translated.
-          std::vector<std::int64_t> state;
-          for (std::size_t t = 0; t < walker_.trackers().size(); ++t) {
-            walker_.trackers()[t].append_state_signature(k * deltas[t], state);
-          }
-          return state;
-        },
-        [&](std::int64_t, std::int64_t repeats) {
-          totals.add_scaled(per_value, repeats);
-          for (std::size_t t = 0; t < walker_.trackers().size(); ++t) {
-            walker_.trackers()[t].translate_held(repeats * deltas[t]);
-          }
-        });
-  }
-
-  CycleWalker& walker_;
-  const Kernel& kernel_;
-  int top_level_;
-  std::vector<std::vector<std::int64_t>> deltas_;  ///< per level: per-tracker shift
-  std::vector<bool> collapsible_;  ///< per level: repeat detection can fire
-  std::vector<std::int64_t> iter_;
-};
-
-WalkTotals walk_collapsed(CycleWalker& walker, const RefModel& model) {
-  const Kernel& kernel = model.kernel();
-  for (int l = 0; l < kernel.depth(); ++l) {
-    if (kernel.loop(l).trip_count() <= 0) return walk_full(walker, kernel);
-  }
-
-  // The instance-scaling level: every group's stream repeats identically
-  // across instances of the loops above its own carrying level, hence
-  // across instances of the loops above the outermost one. Groups that
-  // hold nothing repeat every iteration and do not constrain the level.
-  int level = kernel.depth();
-  for (const WindowTracker& t : walker.trackers()) {
-    if (t.strategy().holds()) level = std::min(level, t.strategy().carry_level);
-  }
-  std::int64_t instances = 1;
-  for (int l = 0; l < level; ++l) instances *= kernel.loop(l).trip_count();
-
-  if (level == kernel.depth()) {
-    // No cross-iteration state anywhere: one iteration stands for all.
-    std::vector<std::int64_t> iter = first_iteration(kernel);
+// Collapsed walk (DESIGN.md §8): the walker's iteration is the step of the
+// nested collapse, the engine the access counters run on too. Trackers are
+// independent of each other, so the collapse is exact for any subset of
+// the groups: the overlap walk covers the coupled groups alone.
+WalkTotals walk_collapsed(CycleWalker& walker, const Kernel& kernel) {
+  const auto step = [&walker](srra::span<const std::int64_t> iter) {
     walker.run_iteration(iter);
-  } else {
-    CollapsedWalk(walker, model, level).run();
-  }
-  walker.finish();
-
-  WalkTotals scaled;
-  scaled.add_scaled(walker.totals(), instances);
-  return scaled;
+  };
+  const auto finish = [&walker] { walker.finish(); };
+  return collapse_walk(kernel, srra::span<WindowTracker>(walker.trackers()), walker.totals(),
+                       step, finish);
 }
 
 CycleReport to_report(const WalkTotals& totals, const Kernel& kernel) {
@@ -559,14 +449,14 @@ std::vector<std::int64_t> report_key(const std::vector<RefStrategy>& strategies,
 std::int64_t overlapped_reads(const RefModel& model, const Dfg& dfg,
                               const std::vector<RefStrategy>& strategies,
                               const CycleOptions& options) {
-  std::vector<int> coupled = coupled_groups(dfg, model.groups());
+  const std::vector<int> coupled = coupled_groups(dfg, model.groups());
   if (coupled.empty()) return 0;
   std::vector<std::int64_t> key{kOverlapTag};
   for (const int g : coupled) append_strategy(key, strategies[static_cast<std::size_t>(g)]);
   std::vector<std::int64_t> record;
   if (model.cycle_memo().lookup(key, record) && record.size() == 1) return record[0];
-  CycleWalker walker(model, dfg, strategies, std::move(coupled), options);
-  const std::int64_t hidden = walk_collapsed(walker, model).overlapped_reads;
+  CycleWalker walker(model, dfg, strategies, coupled, options);
+  const std::int64_t hidden = walk_collapsed(walker, model.kernel()).overlapped_reads;
   model.cycle_memo().store(key, {hidden});
   return hidden;
 }
@@ -639,7 +529,7 @@ CycleReport estimate_cycles(const RefModel& model, const Allocation& allocation,
     // The list-schedule ablation schedules each iteration's exact RAM
     // profile, which couples every group: the joint walk stays.
     CycleWalker walker(model, dfg, strategies, all_groups(model), options);
-    report = to_report(walk_collapsed(walker, model), model.kernel());
+    report = to_report(walk_collapsed(walker, model.kernel()), model.kernel());
   }
   model.cycle_memo().store(
       key, {report.mem_cycles, report.ram_accesses, report.exec_cycles, report.iterations});

@@ -33,7 +33,7 @@ struct CycleOptions {
   /// Control (FSM) cycles per loop iteration.
   std::int64_t loop_overhead = 1;
   /// Evaluate with the reference full-iteration-space walk instead of the
-  /// periodic collapse (DESIGN.md §8). Bit-identical results (cross-checked
+  /// nested collapse (DESIGN.md §8). Bit-identical results (cross-checked
   /// in test_periodic); the full walk also bypasses the per-model report
   /// memo, so it is the oracle for both layers.
   bool full_iteration_walk = false;
@@ -58,7 +58,7 @@ struct CycleReport {
 /// is the model's per-group counter totals minus the reads concurrent fetch
 /// hides, which a collapsed walk of only the coupled groups counts
 /// (DESIGN.md §6, §8); the list-schedule ablation walks every group jointly
-/// (O(window); see analysis/periodic.h). Reports are memoized on `model`
+/// through the same nested collapse (analysis/periodic.h). Reports are memoized on `model`
 /// keyed by (per-group strategy vector, options) — budget sweeps whose
 /// allocations saturate hit the memo. Set options.full_iteration_walk for
 /// the whole-space reference walk.

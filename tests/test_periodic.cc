@@ -7,6 +7,7 @@
 // recipe.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "analysis/periodic.h"
@@ -43,19 +44,21 @@ void expect_reports_equal(const CycleReport& collapsed, const CycleReport& oracl
   EXPECT_EQ(collapsed.iterations, oracle.iterations) << context;
 }
 
-// Every candidate strategy the empirical selection would consider, plus a
-// few out-of-policy window sizes for extra coverage.
-std::vector<RefStrategy> candidate_strategies(const Kernel& kernel, const ReuseInfo& info) {
+// Every window size at every carrying level, up to min(beta + 1, 64) —
+// the nested collapse's inert-tail rule fires once a partial window fills,
+// at any size — plus beta - 1, beta and beta + 3 beyond that cap.
+std::vector<RefStrategy> candidate_strategies(const ReuseInfo& info) {
   std::vector<RefStrategy> candidates;
   candidates.push_back(RefStrategy{});  // no holding
   for (const CarryLevel& cl : info.levels) {
-    for (const std::int64_t held :
-         {std::int64_t{1}, std::int64_t{2}, cl.beta - 1, cl.beta, cl.beta + 3}) {
-      if (held <= 0) continue;
+    const std::int64_t cap = std::min<std::int64_t>(cl.beta + 1, 64);
+    for (std::int64_t held = 1; held <= cap; ++held) {
       candidates.push_back(RefStrategy{cl.level, held});
     }
+    for (const std::int64_t held : {cl.beta - 1, cl.beta, cl.beta + 3}) {
+      if (held > cap) candidates.push_back(RefStrategy{cl.level, held});
+    }
   }
-  (void)kernel;
   return candidates;
 }
 
@@ -65,7 +68,7 @@ void check_kernel_counts(const Kernel& kernel, const std::string& name) {
   for (std::size_t g = 0; g < groups.size(); ++g) {
     // Fixed-strategy equivalence: collapsed vs full walk for every
     // candidate window shape.
-    for (const RefStrategy& strategy : candidate_strategies(kernel, reuse[g])) {
+    for (const RefStrategy& strategy : candidate_strategies(reuse[g])) {
       std::ostringstream context;
       context << name << " group " << groups[g].display << " carry "
               << strategy.carry_level << " held " << strategy.held_limit;

@@ -187,6 +187,35 @@ TEST(Transform, TileRequiresDividingSize) {
   EXPECT_TRUE(is_safe(kernels::mat(), LoopTransform::tile(0, 4)));
 }
 
+TEST(Transform, StackedPeelsRunRemaindersInSourceOrder) {
+  // t(0,3) peels i = 3..4 off; t(1,2) then splits the main range's point
+  // loop and peels i = 2. The main range runs first, so i = 2 must run
+  // before i = 3..4: the last write to q[2*j] comes from i = 4.
+  const Kernel k = parse_kernel(R"(
+    kernel stacked {
+      array q[3] : u8;
+      for i in 0..5 { for j in 0..2 { q[2*j] = i + i; } }
+    }
+  )");
+  const std::vector<LoopTransform> sequence{LoopTransform::tile(0, 3),
+                                            LoopTransform::tile(1, 2)};
+  const std::optional<PeeledNest> nest =
+      apply_if_safe(k, srra::span<const LoopTransform>(sequence.data(), sequence.size()));
+  ASSERT_TRUE(nest.has_value());
+  ASSERT_EQ(nest->epilogues.size(), 2u);
+  EXPECT_EQ(nest->epilogues[0].iteration_count(), 2);  // i = 2
+  EXPECT_EQ(nest->epilogues[1].iteration_count(), 4);  // i = 3..4
+
+  ArrayStore reference(k);
+  reference.randomize(5111);
+  interpret(k, reference);
+  ArrayStore rewritten(nest->main);
+  rewritten.randomize(5111);
+  interpret(nest->main, rewritten);
+  for (const Kernel& epilogue : nest->epilogues) interpret(epilogue, rewritten);
+  EXPECT_TRUE(rewritten.equals(reference));
+}
+
 TEST(Transform, TileUniquifiesLoopNames) {
   const Kernel k = parse_kernel(R"(
     kernel named {

@@ -137,6 +137,41 @@ TEST(Walker, SlidingWindowRotatesWithOneSteadyFillPerIteration) {
   EXPECT_EQ(c.flushes, 0);                    // read-only window
 }
 
+TEST(Walker, InertnessQueryNamesTheFirstInertValue) {
+  // FIR x[i + j] holding 4 elements at i: once x[i..i+3] fill the list, the
+  // rest of the j loop touches only non-members, which all miss.
+  const Ctx s = make_ctx(kernels::fir());
+  const RefGroup& xg = group_named(s.groups, "x[i + j]");
+  WindowTracker tracker(s.kernel, xg, RefStrategy{0, 4});
+  const auto at = [](std::int64_t i, std::int64_t j) { return std::vector<std::int64_t>{i, j}; };
+  const auto walk = [&](std::int64_t i, std::int64_t j) {
+    const std::vector<std::int64_t> iter = at(i, j);
+    tracker.begin_iteration(iter, nullptr);
+    for (const RefOccurrence& occ : xg.occurrences) {
+      tracker.on_access(iter, occ.is_write, occ.stmt, occ.order, nullptr);
+    }
+  };
+  // Filling: one member per iteration at most, so not before j = 4.
+  EXPECT_EQ(tracker.next_inert_value(1, 0, at(0, 0)), 4);
+  walk(0, 0);
+  walk(0, 1);
+  EXPECT_EQ(tracker.next_inert_value(1, 2, at(0, 2)), 4);
+  walk(0, 2);
+  walk(0, 3);
+  // Full: inert from j = 4 (x[4..35] holds no member); from j = 2 the
+  // interval still covers x[2], x[3], so the first inert value is 4.
+  EXPECT_EQ(tracker.next_inert_value(1, 4, at(0, 4)), 4);
+  EXPECT_EQ(tracker.next_inert_value(1, 2, at(0, 2)), 4);
+  // Never at the carrying loop itself: its list resets at every value.
+  const std::int64_t outer = s.kernel.loop(0).trip_count();
+  EXPECT_EQ(tracker.next_inert_value(0, 1, at(1, 0)), outer);
+  // A list left from the previous i resets at the next begin_iteration.
+  EXPECT_EQ(tracker.next_inert_value(1, 0, at(1, 0)), 4);
+  // A group that holds nothing is inert everywhere.
+  const WindowTracker none(s.kernel, xg, RefStrategy{});
+  EXPECT_EQ(none.next_inert_value(0, 7, at(7, 0)), 7);
+}
+
 TEST(Walker, FullWindowEliminatesAllSteadyAccesses) {
   const Ctx s = make_ctx(kernels::fir());
   const RefGroup& cg = group_named(s.groups, "c[j]");
