@@ -120,7 +120,8 @@ int main() {
             << "space: interchange x 23 tile sizes (2..32) stacked 2 deep x "
                "unroll {2,3,4,6,8}; budgets 8,16,32,64; eval cap "
             << kEvalCap << "/kernel\n";
-  Table sweep_table({"Kernel", "Generated", "Pruned", "Evaluated", "Best untiled",
+  Table sweep_table({"Kernel", "Generated", "Pruned: bound", "cap", "illegal/dup",
+                     "Evaluated", "Best untiled",
                      "Regs", "Exec cycles", "Best transformed", "Regs", "Exec cycles",
                      "Dominates every untiled order"});
   std::int64_t total_generated = 0;
@@ -195,7 +196,9 @@ int main() {
       }
     }
     sweep_table.add_row({nk.name, std::to_string(stats.variants_generated),
-                         std::to_string(stats.variants_pruned),
+                         std::to_string(stats.pruned_by_bound),
+                         std::to_string(stats.pruned_by_cap),
+                         std::to_string(stats.pruned_illegal_or_duplicate),
                          std::to_string(stats.variants_evaluated), best_untiled->label,
                          std::to_string(best_untiled->regs),
                          with_commas(best_untiled->exec_cycles), best_transformed->label,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <memory>
 #include <mutex>
 
@@ -22,10 +23,22 @@ struct PieceFrontiers {
   std::array<std::unique_ptr<AllocationFrontier>, kAlgorithmCount> frontiers;
 };
 
-struct VariantFrontiers {
-  std::int64_t max_budget = -1;  ///< largest feasible budget of the variant
-  int min_feasible = 0;          ///< max group count over the variant's pieces
-  std::vector<PieceFrontiers> pieces;  ///< main first, epilogues after
+// The analysis of one variant, alive only while its shards run: the first
+// shard to start builds it under `built`, the last one to finish frees it.
+// One shared RefModel per nest piece (main first, then the peeled
+// epilogues — most variants have exactly one piece): the model caches
+// (strategy selections with their counts, cycle-model memo) are
+// thread-safe, so every shard reuses the same analysis instead of redoing
+// grouping, reuse and counting. Results cannot depend on sharing or on
+// which lane builds: every cached value is a deterministic function of its
+// key, so reports stay byte-identical for any --jobs.
+struct VariantState {
+  std::once_flag built;
+  std::vector<std::unique_ptr<RefModel>> models;
+  std::vector<PieceFrontiers> pieces;  ///< one per model
+  int min_feasible = 0;                ///< max group count over the pieces
+  std::int64_t max_budget = -1;        ///< largest feasible budget of the variant
+  std::atomic<std::size_t> shards_left{0};
 };
 
 }  // namespace
@@ -34,46 +47,7 @@ ExploreResult explore(EnumeratedSpace space, const ExploreOptions& options) {
   ExploreResult result;
   result.results.resize(space.points.size());
   const std::vector<std::vector<int>> groups = space.points_by_variant();
-
-  ThreadPool pool(options.jobs);
-
-  // One shared RefModel per nest piece of every variant (main first, then
-  // the peeled epilogues — most variants have exactly one piece): the model
-  // caches (strategy selections with their counts, cycle-model memo) are
-  // thread-safe, so every shard of the variant reuses the same analysis
-  // instead of redoing grouping, reuse and counting per shard. Results
-  // cannot depend on sharing: every cached value is a deterministic
-  // function of its key, so reports stay byte-identical for any --jobs.
-  // The models are built on the pool too, each into its variant's own
-  // preallocated slot.
-  std::vector<std::vector<std::unique_ptr<RefModel>>> models(space.variants.size());
-  pool.parallel_for(static_cast<std::int64_t>(space.variants.size()), [&](std::int64_t v) {
-    const Variant& variant = space.variants[static_cast<std::size_t>(v)];
-    std::vector<std::unique_ptr<RefModel>>& pieces = models[static_cast<std::size_t>(v)];
-    pieces.push_back(std::make_unique<RefModel>(variant.kernel.clone()));
-    for (const Kernel& epilogue : variant.epilogues) {
-      pieces.push_back(std::make_unique<RefModel>(epilogue.clone()));
-    }
-  });
-
-  // The whole budget axis of one (variant, algorithm) collapses into one
-  // frontier evaluation per piece; per-budget allocations are slices of it.
-  // A peeled variant is feasible only when every piece is, so budgets below
-  // the widest piece's feasibility point keep the per-point path and its
-  // diagnostics.
-  std::vector<VariantFrontiers> frontiers(space.variants.size());
-  for (const Variant& variant : space.variants) {
-    VariantFrontiers& vf = frontiers[static_cast<std::size_t>(variant.index)];
-    const auto& pieces = models[static_cast<std::size_t>(variant.index)];
-    vf.pieces = std::vector<PieceFrontiers>(pieces.size());
-    for (const auto& model : pieces) {
-      vf.min_feasible = std::max(vf.min_feasible, model->group_count());
-    }
-  }
-  for (const SpacePoint& point : space.points) {
-    VariantFrontiers& vf = frontiers[static_cast<std::size_t>(point.variant)];
-    if (point.budget >= vf.min_feasible) vf.max_budget = std::max(vf.max_budget, point.budget);
-  }
+  std::vector<VariantState> states(space.variants.size());
 
   // Work units are contiguous shards of one variant's point list. One
   // shard per variant suffices when there are at least as many variants as
@@ -89,20 +63,55 @@ ExploreResult explore(EnumeratedSpace space, const ExploreOptions& options) {
   const std::size_t shards =
       space.variants.empty() ? 1 : std::max<std::size_t>(1, lanes / space.variants.size());
   std::vector<Unit> units;
+  std::vector<std::int64_t> iterations(space.variants.size());
   for (const Variant& variant : space.variants) {
-    const std::size_t n = groups[static_cast<std::size_t>(variant.index)].size();
+    const auto v = static_cast<std::size_t>(variant.index);
+    const std::size_t n = groups[v].size();
     const std::size_t chunks = std::min(shards, std::max<std::size_t>(n, 1));
     for (std::size_t c = 0; c < chunks; ++c) {
       const Unit unit{variant.index, n * c / chunks, n * (c + 1) / chunks};
-      if (unit.begin < unit.end) units.push_back(unit);
+      if (unit.begin < unit.end) {
+        units.push_back(unit);
+        ++states[v].shards_left;
+      }
     }
+    iterations[v] = variant.kernel.iteration_count();
+    for (const Kernel& epilogue : variant.epilogues) iterations[v] += epilogue.iteration_count();
   }
+  // Longest first: the variants with the most iterations to walk start
+  // before the short ones, so no lane is left finishing a large tiled
+  // variant while the others idle. Ties keep enumeration order. Only when
+  // a unit runs changes; every point still lands in its own slot.
+  std::stable_sort(units.begin(), units.end(), [&](const Unit& a, const Unit& b) {
+    return iterations[static_cast<std::size_t>(a.variant)] >
+           iterations[static_cast<std::size_t>(b.variant)];
+  });
 
+  // The whole budget axis of one (variant, algorithm) collapses into one
+  // frontier evaluation per piece; per-budget allocations are slices of it.
+  // A peeled variant is feasible only when every piece is, so budgets below
+  // the widest piece's feasibility point keep the per-point path and its
+  // diagnostics.
+  ThreadPool pool(options.jobs);
   pool.parallel_for(static_cast<std::int64_t>(units.size()), [&](std::int64_t u) {
     const Unit& unit = units[static_cast<std::size_t>(u)];
-    const auto& piece_models = models[static_cast<std::size_t>(unit.variant)];
-    VariantFrontiers& vf = frontiers[static_cast<std::size_t>(unit.variant)];
+    const Variant& variant = space.variants[static_cast<std::size_t>(unit.variant)];
+    VariantState& vs = states[static_cast<std::size_t>(unit.variant)];
     const std::vector<int>& indices = groups[static_cast<std::size_t>(unit.variant)];
+    std::call_once(vs.built, [&] {
+      vs.models.push_back(std::make_unique<RefModel>(variant.kernel.clone()));
+      for (const Kernel& epilogue : variant.epilogues) {
+        vs.models.push_back(std::make_unique<RefModel>(epilogue.clone()));
+      }
+      vs.pieces = std::vector<PieceFrontiers>(vs.models.size());
+      for (const auto& model : vs.models) {
+        vs.min_feasible = std::max(vs.min_feasible, model->group_count());
+      }
+      for (const int i : indices) {
+        const std::int64_t budget = space.points[static_cast<std::size_t>(i)].budget;
+        if (budget >= vs.min_feasible) vs.max_budget = std::max(vs.max_budget, budget);
+      }
+    });
     for (std::size_t i = unit.begin; i < unit.end; ++i) {
       const SpacePoint& point = space.points[static_cast<std::size_t>(indices[i])];
       PointResult& out = result.results[static_cast<std::size_t>(point.index)];
@@ -112,14 +121,14 @@ ExploreResult explore(EnumeratedSpace space, const ExploreOptions& options) {
       try {
         const auto a = static_cast<std::size_t>(point.algorithm);
         std::vector<DesignPoint> pieces;
-        pieces.reserve(piece_models.size());
-        if (options.frontier && point.budget >= vf.min_feasible) {
-          for (std::size_t p = 0; p < piece_models.size(); ++p) {
-            const RefModel& model = *piece_models[p];
-            PieceFrontiers& pf = vf.pieces[p];
+        pieces.reserve(vs.models.size());
+        if (options.frontier && point.budget >= vs.min_feasible) {
+          for (std::size_t p = 0; p < vs.models.size(); ++p) {
+            const RefModel& model = *vs.models[p];
+            PieceFrontiers& pf = vs.pieces[p];
             std::call_once(pf.once[a], [&] {
               pf.frontiers[a] = std::make_unique<AllocationFrontier>(
-                  allocate_frontier(point.algorithm, model, vf.max_budget));
+                  allocate_frontier(point.algorithm, model, vs.max_budget));
             });
             // (call_once rethrows build failures with the flag unset, so a
             // set pointer is guaranteed here; the feasibility guard above
@@ -128,7 +137,7 @@ ExploreResult explore(EnumeratedSpace space, const ExploreOptions& options) {
                                              pf.frontiers[a]->at(point.budget), pipeline));
           }
         } else {
-          for (const auto& model : piece_models) {
+          for (const auto& model : vs.models) {
             pieces.push_back(run_pipeline(*model, point.algorithm, pipeline));
           }
         }
@@ -137,6 +146,12 @@ ExploreResult explore(EnumeratedSpace space, const ExploreOptions& options) {
       } catch (const Error& e) {
         out.error = e.what();
       }
+    }
+    // Every other shard's use of the analysis happens before the last
+    // shard's decrement, so the last one may free it.
+    if (--vs.shards_left == 0) {
+      vs.pieces.clear();
+      vs.models.clear();
     }
   });
 

@@ -4,14 +4,17 @@
 // once per (kernel, transform sequence) and amortized over every fetch
 // mode, algorithm and budget.
 //
-// Parallelism runs on a fixed ThreadPool over contiguous shards of each
-// variant's point list (variants are split further when there are more
-// lanes than variants, so single-kernel sweeps still fill the pool). All
-// shards of a variant share one thread-safe RefModel, so the analysis is
-// computed once per variant for any lane count. Workers claim shard
-// indices from a shared counter and write each point result into its
-// preallocated slot (results[point.index]), so the merged ExploreResult is
-// identical for any --jobs value — the byte-identical-reports guarantee.
+// Parallelism runs on a fixed ThreadPool, in one parallel_for over
+// contiguous shards of each variant's point list (variants are split
+// further when there are more lanes than variants, so single-kernel sweeps
+// still fill the pool), claimed longest variant first. All shards of a
+// variant share one thread-safe RefModel, built by the first shard to run
+// and freed by the last to finish, so the analysis is computed once per
+// variant for any lane count and lives only while the variant runs.
+// Workers claim shard indices from a shared counter and write each point
+// result into its preallocated slot (results[point.index]), so the merged
+// ExploreResult is identical for any --jobs value — the
+// byte-identical-reports guarantee.
 #pragma once
 
 #include <string>

@@ -4,6 +4,7 @@
 #include <numeric>
 #include <optional>
 #include <unordered_set>
+#include <utility>
 
 #include "analysis/refs.h"
 #include "dfg/dfg.h"
@@ -261,6 +262,32 @@ class MeasuredPool {
   std::vector<std::pair<std::int64_t, std::int64_t>> points_;  ///< (regs, cycles)
 };
 
+// The guided search of one kernel: its ranked candidates and what its
+// waves have measured, materialized and evaluated so far. Kernels never
+// read each other's state, so evaluating their waves together cannot
+// change what any of them prunes.
+struct KernelSearch {
+  std::vector<Candidate> candidates;
+  std::vector<std::size_t> order;  ///< candidate indices, most promising first
+  std::size_t next = 0;            ///< first entry of `order` not yet considered
+  MeasuredPool pool;
+  std::unordered_set<std::uint64_t> seen;  ///< nest hashes already materialized
+  int evaluated = 0;
+};
+
+// Moves the element at position i to position to[i], for every i, in place:
+// each cycle of the permutation is followed with swap(i, j) calls.
+template <typename Swap>
+void permute(std::vector<std::size_t> to, const Swap& swap) {
+  for (std::size_t i = 0; i < to.size(); ++i) {
+    while (to[i] != i) {
+      const std::size_t j = to[i];
+      swap(i, j);
+      std::swap(to[i], to[j]);
+    }
+  }
+}
+
 }  // namespace
 
 ExploreResult explore_guided(AxisSpec axes, const ExploreOptions& options,
@@ -275,95 +302,142 @@ ExploreResult explore_guided(AxisSpec axes, const ExploreOptions& options,
       *std::max_element(axes.budgets.begin(), axes.budgets.end());
 
   ExploreResult final;
-  for (const SpaceKernel& sk : axes.kernels) {
+  SpaceStats& stats = final.space.stats;
+  // Every kernel's tree is walked and ranked before anything is evaluated,
+  // so an illegal explicit sequence on any kernel throws up front.
+  std::vector<KernelSearch> searches(axes.kernels.size());
+  for (std::size_t k = 0; k < axes.kernels.size(); ++k) {
+    const SpaceKernel& sk = axes.kernels[k];
+    KernelSearch& search = searches[k];
     const std::int64_t l0 = body_schedule_length(sk.kernel, options.pipeline.cycles);
-    std::vector<Candidate> candidates;
     walk_candidates(sk.kernel, sk.name, axes.transforms,
                     [&](const AbsState& state, const std::vector<LoopTransform>& sequence) {
       // Every candidate of the tree counts as generated; illegal ones are
       // pruned when (if ever) they come up for materialization.
-      ++final.space.stats.variants_generated;
+      ++stats.variants_generated;
       Candidate cand;
       cand.curve = make_curve(state, l0, options.pipeline.cycles);
       cand.optimistic = cand.curve.at(max_budget);
       cand.corner = cand.curve.at(cand.curve.min_regs);
       cand.sequence = sequence;
-      candidates.push_back(std::move(cand));
+      search.candidates.push_back(std::move(cand));
     });
 
     // Most promising first: lowest optimistic bound, then lowest corner —
     // generation order (the index) breaks ties, so the search is
     // deterministic.
-    std::vector<std::size_t> order(candidates.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      const Candidate& ca = candidates[a];
-      const Candidate& cb = candidates[b];
+    search.order.resize(search.candidates.size());
+    std::iota(search.order.begin(), search.order.end(), 0);
+    std::sort(search.order.begin(), search.order.end(), [&](std::size_t a, std::size_t b) {
+      const Candidate& ca = search.candidates[a];
+      const Candidate& cb = search.candidates[b];
       if (ca.optimistic != cb.optimistic) return ca.optimistic < cb.optimistic;
       if (ca.corner != cb.corner) return ca.corner < cb.corner;
       return a < b;
     });
+  }
 
-    MeasuredPool pool;
-    std::unordered_set<std::uint64_t> seen;
-    int evaluated = 0;
-    std::size_t next = 0;
-    while (next < order.size()) {
-      // Assemble one wave of bound-surviving, legal, novel candidates.
-      std::vector<Variant> wave;
-      while (static_cast<int>(wave.size()) < prune.wave && next < order.size()) {
-        const Candidate& cand = candidates[order[next++]];
+  // Round r evaluates wave r of every kernel in one explore call, so the
+  // lanes meet one barrier per round instead of one per wave of each
+  // kernel. Results land round-major; `owner` names each variant's kernel.
+  std::vector<std::size_t> owner;
+  for (;;) {
+    EnumeratedSpace round;
+    for (std::size_t k = 0; k < searches.size(); ++k) {
+      // Assemble kernel k's next wave of bound-surviving, legal, novel
+      // candidates, exactly as if it were searched alone.
+      KernelSearch& search = searches[k];
+      const SpaceKernel& sk = axes.kernels[k];
+      int wave = 0;
+      while (wave < prune.wave && search.next < search.order.size()) {
+        // Each candidate is looked at once; its storage goes with it.
+        Candidate cand = std::move(search.candidates[search.order[search.next++]]);
         if (prune.max_evaluated_per_kernel > 0 &&
-            evaluated + static_cast<int>(wave.size()) >=
-                prune.max_evaluated_per_kernel) {
-          ++final.space.stats.variants_pruned;
+            search.evaluated >= prune.max_evaluated_per_kernel) {
+          ++stats.variants_pruned;
+          ++stats.pruned_by_cap;
           continue;
         }
-        if (pool.dominates(cand.curve, max_budget)) {
-          ++final.space.stats.variants_pruned;
+        if (search.pool.dominates(cand.curve, max_budget)) {
+          ++stats.variants_pruned;
+          ++stats.pruned_by_bound;
           continue;
         }
         // The walk's legality is a superset; the real check runs here, once,
         // only for bound survivors.
         std::optional<PeeledNest> nest = apply_if_safe(sk.kernel, cand.sequence);
-        if (!nest || !seen.insert(nest_hash(*nest)).second) {
-          ++final.space.stats.variants_pruned;
+        if (!nest || !search.seen.insert(nest_hash(*nest)).second) {
+          ++stats.variants_pruned;
+          ++stats.pruned_illegal_or_duplicate;
           continue;
         }
-        wave.push_back(make_variant(static_cast<int>(wave.size()), sk.name, cand.sequence,
-                                    std::move(*nest)));
-      }
-      if (wave.empty()) continue;
-
-      EnumeratedSpace ws;
-      ws.variants = std::move(wave);
-      add_points(ws, axes);
-      ExploreResult measured = explore(std::move(ws), options);
-
-      // Feed the pool, then splice the wave into the merged result with
-      // global variant and point indices.
-      for (std::size_t i = 0; i < measured.results.size(); ++i) {
-        const PointResult& r = measured.results[i];
-        if (r.feasible) {
-          pool.insert(r.design.allocation.total(), r.design.cycles.exec_cycles);
-        }
-      }
-      const int variant_offset = static_cast<int>(final.space.variants.size());
-      for (Variant& variant : measured.space.variants) {
-        variant.index += variant_offset;
-        ++evaluated;
-        ++final.space.stats.variants_evaluated;
-        final.space.variants.push_back(std::move(variant));
-      }
-      for (std::size_t i = 0; i < measured.space.points.size(); ++i) {
-        SpacePoint point = measured.space.points[i];
-        point.variant += variant_offset;
-        point.index = static_cast<int>(final.space.points.size());
-        final.space.points.push_back(point);
-        final.results.push_back(std::move(measured.results[i]));
+        round.variants.push_back(make_variant(static_cast<int>(round.variants.size()),
+                                              sk.name, std::move(cand.sequence),
+                                              std::move(*nest)));
+        owner.push_back(k);
+        ++search.evaluated;
+        ++stats.variants_evaluated;
+        ++wave;
       }
     }
+    // A kernel's wave comes up empty only once its order is used up.
+    if (round.variants.empty()) break;
+
+    add_points(round, axes);
+    ExploreResult measured = explore(std::move(round), options);
+
+    // Feed each kernel's pool from its own variants' points only, then
+    // append the round. Points name their variant by its position in the
+    // appended list; every index is set once, by the reorder below.
+    const int variant_offset = static_cast<int>(final.space.variants.size());
+    for (std::size_t i = 0; i < measured.results.size(); ++i) {
+      SpacePoint point = measured.space.points[i];
+      point.variant += variant_offset;
+      const PointResult& r = measured.results[i];
+      if (r.feasible) {
+        searches[owner[static_cast<std::size_t>(point.variant)]].pool.insert(
+            r.design.allocation.total(), r.design.cycles.exec_cycles);
+      }
+      final.space.points.push_back(point);
+      final.results.push_back(std::move(measured.results[i]));
+    }
+    for (Variant& variant : measured.space.variants) {
+      final.space.variants.push_back(std::move(variant));
+    }
   }
+
+  // Reorder once, in place, from round-major into kernel-major order (each
+  // kernel's waves in turn): a stable sort of the variants by kernel, every
+  // point following its variant in its original relative order.
+  std::vector<std::size_t> next_variant(searches.size() + 1, 0);
+  for (const std::size_t k : owner) ++next_variant[k + 1];
+  std::partial_sum(next_variant.begin(), next_variant.end(), next_variant.begin());
+  std::vector<std::size_t> variant_to(owner.size());
+  for (std::size_t v = 0; v < owner.size(); ++v) variant_to[v] = next_variant[owner[v]]++;
+
+  std::vector<SpacePoint>& points = final.space.points;
+  std::vector<std::size_t> next_point(owner.size() + 1, 0);
+  for (const SpacePoint& point : points) {
+    ++next_point[variant_to[static_cast<std::size_t>(point.variant)] + 1];
+  }
+  std::partial_sum(next_point.begin(), next_point.end(), next_point.begin());
+  std::vector<std::size_t> point_to(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    SpacePoint& point = points[i];
+    point.variant = static_cast<int>(variant_to[static_cast<std::size_t>(point.variant)]);
+    point_to[i] = next_point[static_cast<std::size_t>(point.variant)]++;
+    point.index = static_cast<int>(point_to[i]);
+  }
+  for (std::size_t v = 0; v < variant_to.size(); ++v) {
+    final.space.variants[v].index = static_cast<int>(variant_to[v]);
+  }
+  permute(std::move(variant_to), [&](std::size_t a, std::size_t b) {
+    std::swap(final.space.variants[a], final.space.variants[b]);
+  });
+  permute(std::move(point_to), [&](std::size_t a, std::size_t b) {
+    std::swap(points[a], points[b]);
+    std::swap(final.results[a], final.results[b]);
+  });
   return final;
 }
 

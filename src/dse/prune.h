@@ -15,7 +15,8 @@
 // plus a full analysis. Only bound-surviving candidates are materialized
 // and legality-checked (ir/transform.h apply_if_safe), deduplicated by
 // structural hash, and evaluated in waves through the ordinary dse/explore
-// engine.
+// engine — one explore call per round, which holds the next wave of every
+// kernel (each kernel still prunes against its own measurements only).
 //
 // Soundness of the bound (why pruning cannot change the Pareto frontier):
 //
@@ -122,9 +123,13 @@ BoundCurve bound_curve(const Kernel& kernel, srra::span<const LoopTransform> tra
 /// Guided counterpart of explore(enumerate_space(axes), options): walks the
 /// same candidate tree per kernel, scores every candidate by its bound
 /// curve, and evaluates waves of the most promising survivors, pruning
-/// candidates strictly dominated by measured points.
+/// candidates strictly dominated by measured points of the same kernel.
+/// Wave r of every kernel is evaluated in one explore call; the result
+/// lists each kernel's waves in turn, exactly as if the kernels were
+/// searched one after another (DESIGN.md §13).
 /// Stats land in result.space.stats (generated = pruned + evaluated).
-/// Explicit illegal sequences throw exactly like enumerate_space.
+/// Explicit illegal sequences throw exactly like enumerate_space, before
+/// any kernel is evaluated.
 ExploreResult explore_guided(AxisSpec axes, const ExploreOptions& options,
                              const PruneOptions& prune = {});
 

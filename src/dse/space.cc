@@ -57,9 +57,14 @@ EnumeratedSpace enumerate_space(AxisSpec axes) {
       std::optional<PeeledNest> nest = apply_if_safe(sk.kernel, sequence);
       if (!nest) return;
       ++space.stats.variants_generated;
-      if (added >= axes.transforms.max_variants_per_kernel ||
-          !seen.insert(nest_hash(*nest)).second) {
+      if (added >= axes.transforms.max_variants_per_kernel) {
         ++space.stats.variants_pruned;
+        ++space.stats.pruned_by_cap;
+        return;
+      }
+      if (!seen.insert(nest_hash(*nest)).second) {
+        ++space.stats.variants_pruned;
+        ++space.stats.pruned_illegal_or_duplicate;
         return;
       }
       space.variants.push_back(make_variant(static_cast<int>(space.variants.size()),

@@ -135,13 +135,18 @@ struct SpacePoint {
 /// candidate the sweep generates increments `generated` (exhaustive: every
 /// legal candidate of the tree; guided: every candidate); `evaluated`
 /// counts the variants that entered the space; `pruned` counts the rest
-/// (bound-dominated or illegal in guided search, duplicate or over-cap in
-/// exhaustive enumeration). generated == pruned + evaluated, so
-/// a capped or pruned run is visible in every report.
+/// (bound-dominated, over-cap, illegal or duplicate in guided search,
+/// duplicate or over-cap in exhaustive enumeration). generated == pruned +
+/// evaluated, so a capped or pruned run is visible in every report.
 struct SpaceStats {
   std::int64_t variants_generated = 0;
   std::int64_t variants_pruned = 0;
   std::int64_t variants_evaluated = 0;
+  /// `variants_pruned` by cause; the three always sum to it. Reports print
+  /// only the total.
+  std::int64_t pruned_by_bound = 0;  ///< strictly dominated by a measured point
+  std::int64_t pruned_by_cap = 0;    ///< past a per-kernel evaluation cap
+  std::int64_t pruned_illegal_or_duplicate = 0;  ///< rejected by apply_if_safe, or a duplicate
 };
 
 /// A fully enumerated space.

@@ -129,6 +129,9 @@ TEST(Space, TileAxisEnumeratesLegalSitesOnly) {
   EXPECT_EQ(space.variants[2].epilogues[0].loop(0).trip_count(), 1);  // 16 % 5
   EXPECT_EQ(space.stats.variants_generated,
             space.stats.variants_pruned + space.stats.variants_evaluated);
+  EXPECT_EQ(space.stats.variants_pruned,
+            space.stats.pruned_by_bound + space.stats.pruned_by_cap +
+                space.stats.pruned_illegal_or_duplicate);
   EXPECT_EQ(space.stats.variants_evaluated, 7);
 }
 
@@ -160,6 +163,8 @@ TEST(Space, StructuralHashDeduplicatesNoOpOrders) {
   axes.transforms.interchange = true;
   const EnumeratedSpace space = enumerate_space(std::move(axes));
   EXPECT_EQ(space.variants.size(), 3u);
+  EXPECT_EQ(space.stats.variants_pruned, 3);
+  EXPECT_EQ(space.stats.pruned_illegal_or_duplicate, 3);
 }
 
 TEST(Space, ExplicitSequencesEnumerateAfterSource) {
@@ -211,6 +216,11 @@ TEST(Space, VariantCapBoundsEnumeration) {
   const EnumeratedSpace space = enumerate_space(std::move(axes));
   EXPECT_EQ(space.variants.size(), 10u);
   EXPECT_EQ(space.variants[0].label(), "(i,j,k)");  // source always survives
+  // Past the cap a candidate counts as capped, not checked for duplicates.
+  const SpaceStats& stats = space.stats;
+  EXPECT_GT(stats.pruned_by_cap, 0);
+  EXPECT_EQ(stats.pruned_by_bound, 0);
+  EXPECT_EQ(stats.variants_pruned, stats.pruned_by_cap + stats.pruned_illegal_or_duplicate);
 }
 
 // ---- Pareto frontier on hand-built point sets ----
@@ -311,16 +321,44 @@ AxisSpec paper_axes() {
   return axes;
 }
 
+// One kernel, so that eight lanes split every variant into shards that
+// share its lazily built models.
+AxisSpec one_kernel_axes() {
+  AxisSpec axes;
+  axes.kernels.push_back({"MAT", kernels::mat()});
+  axes.budgets = {8, 16, 32, 64};
+  return axes;
+}
+
+// A peeled tile: 3 does not divide FIR's 1024 outer iterations, so the
+// tiled variant has an epilogue model too. Budget 2 is below its
+// feasibility floor and takes the per-point path.
+AxisSpec peeled_tile_axes() {
+  AxisSpec axes;
+  axes.kernels.push_back({"FIR", kernels::fir()});
+  axes.transforms.sequences = {{LoopTransform::tile(0, 3)}};
+  axes.budgets = {2, 8, 16, 64};
+  return axes;
+}
+
 TEST(Explore, ReportsAreByteIdenticalAcrossJobs) {
-  ExploreOptions serial;
-  serial.jobs = 1;
-  const std::string one = all_reports(explore(paper_axes(), serial));
+  // The paper axes have six variants, so eight lanes never split one; the
+  // other two split every variant into shards.
+  for (AxisSpec (*axes)() : {paper_axes, one_kernel_axes, peeled_tile_axes}) {
+    for (const bool frontier : {true, false}) {
+      SCOPED_TRACE(frontier ? "frontier" : "per-point");
+      ExploreOptions serial;
+      serial.jobs = 1;
+      serial.frontier = frontier;
+      const std::string one = all_reports(explore(axes(), serial));
 
-  ExploreOptions threaded;
-  threaded.jobs = 8;
-  const std::string eight = all_reports(explore(paper_axes(), threaded));
+      ExploreOptions threaded = serial;
+      threaded.jobs = 8;
+      const std::string eight = all_reports(explore(axes(), threaded));
 
-  EXPECT_EQ(one, eight);
+      EXPECT_EQ(one, eight);
+    }
+  }
 }
 
 // ---- The headline transform result (pinned; demonstrated in

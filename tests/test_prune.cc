@@ -7,8 +7,12 @@
 //    point's realized register count (the property pruning rests on),
 //  * curve shape — at() is non-increasing in registers and never dips
 //    below the compute floor,
-//  * stats stay an exact partition (generated = pruned + evaluated), with
-//    and without a per-kernel evaluation cap,
+//  * stats stay an exact partition (generated = pruned + evaluated, and
+//    pruned = bound + cap + illegal-or-duplicate), with and without a
+//    per-kernel evaluation cap,
+//  * rounds keep kernels independent — a multi-kernel search, whose waves
+//    run one round per explore call, equals its kernels' single-kernel
+//    searches one after another, for any lane count and kernel order,
 //  * the sweep-spec parsers reject trailing garbage ("8x") instead of
 //    silently truncating — pinned here because the guided bench leans on
 //    hand-typed size lists,
@@ -145,8 +149,11 @@ TEST(Prune, StatsPartitionExactlyWithAndWithoutCap) {
     const ExploreResult r = dse::explore_guided(spec_for("mat", kernels::mat()), options);
     const dse::SpaceStats& s = r.space.stats;
     EXPECT_EQ(s.variants_generated, s.variants_pruned + s.variants_evaluated);
+    EXPECT_EQ(s.variants_pruned,
+              s.pruned_by_bound + s.pruned_by_cap + s.pruned_illegal_or_duplicate);
     EXPECT_EQ(s.variants_evaluated, static_cast<std::int64_t>(r.space.variants.size()));
-    EXPECT_GT(s.variants_pruned, 0);  // the space is big enough that some prune
+    EXPECT_GT(s.pruned_by_bound, 0);  // the space is big enough that some prune
+    EXPECT_EQ(s.pruned_by_cap, 0);
   }
   {
     PruneOptions prune;
@@ -155,9 +162,169 @@ TEST(Prune, StatsPartitionExactlyWithAndWithoutCap) {
         dse::explore_guided(spec_for("mat", kernels::mat()), options, prune);
     const dse::SpaceStats& s = r.space.stats;
     EXPECT_EQ(s.variants_generated, s.variants_pruned + s.variants_evaluated);
+    EXPECT_EQ(s.variants_pruned,
+              s.pruned_by_bound + s.pruned_by_cap + s.pruned_illegal_or_duplicate);
     EXPECT_EQ(s.variants_evaluated, 3);
     EXPECT_EQ(r.space.variants.size(), 3u);
+    EXPECT_GT(s.pruned_by_cap, 0);
   }
+}
+
+// ---- Rounds across kernels ----
+//
+// explore_guided evaluates wave r of every kernel in one explore call, then
+// reorders the result kernel-major. Each kernel's pruning must still read
+// only its own measured points, so a multi-kernel search must equal the
+// concatenation of its kernels' single-kernel searches: the same variants,
+// points, results and stats, for any lane count.
+
+void expect_same_result(const PointResult& a, const PointResult& b) {
+  EXPECT_EQ(a.feasible, b.feasible);
+  EXPECT_EQ(a.error, b.error);
+  const DesignPoint& x = a.design;
+  const DesignPoint& y = b.design;
+  EXPECT_EQ(x.algorithm, y.algorithm);
+  EXPECT_EQ(x.allocation.algorithm, y.allocation.algorithm);
+  EXPECT_EQ(x.allocation.budget, y.allocation.budget);
+  EXPECT_EQ(x.allocation.regs, y.allocation.regs);
+  EXPECT_EQ(x.cycles.mem_cycles, y.cycles.mem_cycles);
+  EXPECT_EQ(x.cycles.ram_accesses, y.cycles.ram_accesses);
+  EXPECT_EQ(x.cycles.exec_cycles, y.cycles.exec_cycles);
+  EXPECT_EQ(x.cycles.iterations, y.cycles.iterations);
+  EXPECT_EQ(x.hw.registers, y.hw.registers);
+  EXPECT_EQ(x.hw.flip_flops, y.hw.flip_flops);
+  EXPECT_EQ(x.hw.luts, y.hw.luts);
+  EXPECT_EQ(x.hw.slices, y.hw.slices);
+  EXPECT_EQ(x.hw.occupancy, y.hw.occupancy);
+  EXPECT_EQ(x.hw.block_rams, y.hw.block_rams);
+  EXPECT_EQ(x.hw.fsm_states, y.hw.fsm_states);
+  EXPECT_EQ(x.hw.clock_ns, y.hw.clock_ns);
+}
+
+void expect_concatenation(const ExploreResult& whole,
+                          const std::vector<const ExploreResult*>& parts) {
+  std::size_t v = 0;
+  std::size_t p = 0;
+  dse::SpaceStats sum;
+  for (const ExploreResult* part_ptr : parts) {
+    const ExploreResult& part = *part_ptr;
+    const int variant_offset = static_cast<int>(v);
+    for (const dse::Variant& variant : part.space.variants) {
+      ASSERT_LT(v, whole.space.variants.size());
+      const dse::Variant& w = whole.space.variants[v];
+      EXPECT_EQ(w.index, static_cast<int>(v));
+      EXPECT_EQ(w.kernel_name, variant.kernel_name);
+      EXPECT_EQ(w.label(), variant.label()) << "variant " << v;
+      ++v;
+    }
+    for (const SpacePoint& point : part.space.points) {
+      ASSERT_LT(p, whole.space.points.size());
+      const SpacePoint& w = whole.space.points[p];
+      EXPECT_EQ(w.index, static_cast<int>(p));
+      EXPECT_EQ(w.variant, point.variant + variant_offset) << "point " << p;
+      EXPECT_EQ(w.algorithm, point.algorithm);
+      EXPECT_EQ(w.budget, point.budget);
+      EXPECT_EQ(w.concurrent_fetch, point.concurrent_fetch);
+      SCOPED_TRACE(::testing::Message() << "point " << p);
+      expect_same_result(whole.results[p],
+                         part.results[static_cast<std::size_t>(point.index)]);
+      ++p;
+    }
+    const dse::SpaceStats& s = part.space.stats;
+    sum.variants_generated += s.variants_generated;
+    sum.variants_pruned += s.variants_pruned;
+    sum.variants_evaluated += s.variants_evaluated;
+    sum.pruned_by_bound += s.pruned_by_bound;
+    sum.pruned_by_cap += s.pruned_by_cap;
+    sum.pruned_illegal_or_duplicate += s.pruned_illegal_or_duplicate;
+  }
+  EXPECT_EQ(v, whole.space.variants.size());
+  EXPECT_EQ(p, whole.space.points.size());
+  EXPECT_EQ(whole.results.size(), whole.space.points.size());
+  const dse::SpaceStats& s = whole.space.stats;
+  EXPECT_EQ(s.variants_generated, sum.variants_generated);
+  EXPECT_EQ(s.variants_pruned, sum.variants_pruned);
+  EXPECT_EQ(s.variants_evaluated, sum.variants_evaluated);
+  EXPECT_EQ(s.pruned_by_bound, sum.pruned_by_bound);
+  EXPECT_EQ(s.pruned_by_cap, sum.pruned_by_cap);
+  EXPECT_EQ(s.pruned_illegal_or_duplicate, sum.pruned_illegal_or_duplicate);
+}
+
+AxisSpec rounds_spec(const std::vector<const kernels::NamedKernel*>& list) {
+  AxisSpec axes;
+  for (const kernels::NamedKernel* nk : list) {
+    axes.kernels.push_back({nk->name, nk->kernel.clone()});
+  }
+  axes.budgets = {16, 64};
+  axes.transforms.interchange = true;
+  axes.transforms.tile_sizes = {3, 8};
+  axes.transforms.unroll_factors = {2};
+  return axes;
+}
+
+TEST(Prune, RoundsKeepKernelsIndependent) {
+  std::vector<kernels::NamedKernel> named;
+  named.push_back({"MAT", "", kernels::mat()});
+  named.push_back({"FIR", "", kernels::fir()});
+  named.push_back({"Dec-FIR", "", kernels::dec_fir()});
+  // The default wave, and a small one so that every kernel runs several
+  // rounds and the kernels run out in different rounds.
+  for (const int wave : {16, 4}) {
+    PruneOptions prune;
+    prune.wave = wave;
+    std::vector<ExploreResult> alone;
+    for (const kernels::NamedKernel& nk : named) {
+      alone.push_back(dse::explore_guided(rounds_spec({&nk}), ExploreOptions{}, prune));
+    }
+    for (const bool reversed : {false, true}) {
+      std::vector<const kernels::NamedKernel*> order;
+      std::vector<const ExploreResult*> parts;
+      for (std::size_t k = 0; k < named.size(); ++k) {
+        const std::size_t i = reversed ? named.size() - 1 - k : k;
+        order.push_back(&named[i]);
+        parts.push_back(&alone[i]);
+      }
+      for (const int jobs : {1, 2, 4}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "wave " << wave << (reversed ? " reversed" : "") << " jobs " << jobs);
+        ExploreOptions options;
+        options.jobs = jobs;
+        expect_concatenation(dse::explore_guided(rounds_spec(order), options, prune), parts);
+      }
+    }
+  }
+}
+
+// Every kernel's tree is walked before anything is evaluated, so an illegal
+// explicit sequence on a later kernel throws the message it throws alone.
+TEST(Prune, IllegalSequenceOnLaterKernelThrowsItsOwnMessage) {
+  const kernels::NamedKernel fir{"FIR", "", kernels::fir()};
+  // Not reorder-safe: x[i] carries a dependence across i.
+  const kernels::NamedKernel scan{"scan", "", parse_kernel(R"(
+    kernel scan {
+      array x[8]; array y[8][6];
+      for i in 0..8 { for j in 0..6 { x[i] = x[i] * 2 + y[i][j]; } }
+    }
+  )")};
+  const auto axes = [](const std::vector<const kernels::NamedKernel*>& list) {
+    AxisSpec spec = rounds_spec(list);
+    spec.transforms.sequences = {{LoopTransform::interchange({1, 0})}};
+    return spec;
+  };
+  const auto message = [](AxisSpec spec) {
+    try {
+      dse::explore_guided(std::move(spec), ExploreOptions{});
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  const std::string alone = message(axes({&scan}));
+  EXPECT_NE(alone.find("transform sequence 'i(1,0)' is illegal for kernel scan"),
+            std::string::npos)
+      << alone;
+  EXPECT_EQ(message(axes({&fir, &scan})), alone);
+  EXPECT_EQ(message(axes({&fir, &fir, &scan})), alone);
 }
 
 // The spec parsers already rejected trailing garbage before the guided
@@ -316,6 +483,28 @@ TEST_P(PruneFuzz, BoundNeverExceedsMeasuredCycles) {
     EXPECT_LE(curve.at(r.design.allocation.total()), r.design.cycles.exec_cycles)
         << result.variant_of(point).label() << " budget " << point.budget;
   }
+}
+
+TEST_P(PruneFuzz, RoundsKeepKernelsIndependent) {
+  SCOPED_TRACE(replay_hint());
+  Rng rng(seed() * 3571 + 7);
+  const Kernel a = random_kernel(rng);
+  const Kernel b = random_kernel(rng);
+  AxisSpec both = fuzz_spec(a.clone());
+  both.kernels.front().name = "a";
+  both.kernels.push_back({"b", b.clone()});
+  AxisSpec only_a = fuzz_spec(a.clone());
+  only_a.kernels.front().name = "a";
+  AxisSpec only_b = fuzz_spec(b.clone());
+  only_b.kernels.front().name = "b";
+  PruneOptions prune;
+  prune.wave = 4;
+  ExploreOptions options;
+  options.jobs = 2;
+  const ExploreResult part_a = dse::explore_guided(std::move(only_a), options, prune);
+  const ExploreResult part_b = dse::explore_guided(std::move(only_b), options, prune);
+  expect_concatenation(dse::explore_guided(std::move(both), options, prune),
+                       {&part_a, &part_b});
 }
 
 TEST_P(PruneFuzz, CandidateTreeStateAndSupersetHold) {
