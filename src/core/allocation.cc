@@ -21,9 +21,10 @@ void Allocation::validate(const RefModel& model) const {
         "allocation size must match group count");
   for (int g = 0; g < model.group_count(); ++g) {
     const std::int64_t n = regs[static_cast<std::size_t>(g)];
-    check(n >= 1, cat("group ", g, " lacks its feasibility register"));
-    check(n <= model.beta_full(g),
-          cat("group ", g, " allocated beyond full scalar replacement"));
+    check(n >= 1, [&] { return cat("group ", g, " lacks its feasibility register"); });
+    check(n <= model.beta_full(g), [&] {
+      return cat("group ", g, " allocated beyond full scalar replacement");
+    });
   }
   check(total() <= budget, "allocation exceeds the register budget");
 }
@@ -36,9 +37,10 @@ std::string Allocation::distribution() const {
 }
 
 Allocation feasibility_allocation(const RefModel& model, std::int64_t budget) {
-  check(budget >= model.group_count(),
-        cat("budget ", budget, " cannot give every of the ", model.group_count(),
-            " references its feasibility register"));
+  check(budget >= model.group_count(), [&] {
+    return cat("budget ", budget, " cannot give every of the ", model.group_count(),
+               " references its feasibility register");
+  });
   Allocation a;
   a.algorithm = "feasibility";
   a.budget = budget;

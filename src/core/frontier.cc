@@ -33,8 +33,10 @@ void push_frontier_budget(AllocationFrontier& frontier,
 }
 
 Allocation AllocationFrontier::at(std::int64_t budget) const {
-  check(covers(budget), cat(algorithm, " frontier covers budgets [", min_budget, ", ",
-                            max_budget, "], not ", budget));
+  check(covers(budget), [&] {
+    return cat(algorithm, " frontier covers budgets [", min_budget, ", ", max_budget, "], not ",
+               budget);
+  });
   Allocation a = steps[static_cast<std::size_t>(
       index[static_cast<std::size_t>(budget - min_budget)])];
   a.budget = budget;

@@ -29,18 +29,21 @@ DesignPoint run_pipeline(const RefModel& model, Algorithm algorithm,
 Kernel transform_for_pipeline(const Kernel& kernel,
                               srra::span<const LoopTransform> transforms) {
   PeeledNest nest = transform_nest_for_pipeline(kernel, transforms);
-  check(!nest.peeled(),
-        cat("transform sequence '", to_string(transforms),
-            "' needs remainder peeling on kernel ", kernel.name(),
-            " (multi-piece nest); this entry point takes single nests only"));
+  check(!nest.peeled(), [&] {
+    return cat("transform sequence '", to_string(transforms),
+               "' needs remainder peeling on kernel ", kernel.name(),
+               " (multi-piece nest); this entry point takes single nests only");
+  });
   return std::move(nest.main);
 }
 
 PeeledNest transform_nest_for_pipeline(const Kernel& kernel,
                                        srra::span<const LoopTransform> transforms) {
   std::optional<PeeledNest> nest = apply_if_safe(kernel, transforms);
-  check(nest.has_value(), cat("transform sequence '", to_string(transforms),
-                              "' is illegal for kernel ", kernel.name()));
+  check(nest.has_value(), [&] {
+    return cat("transform sequence '", to_string(transforms), "' is illegal for kernel ",
+               kernel.name());
+  });
   return std::move(*nest);
 }
 

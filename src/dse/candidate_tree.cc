@@ -164,8 +164,10 @@ void walk_candidates(const Kernel& kernel, const std::string& kernel_name,
   // Explicit sequences are checked here, before any consumer can skip them:
   // the API promises a throw for an illegal one, never a silent drop.
   for (const std::vector<LoopTransform>& sequence : spec.sequences) {
-    check(is_safe(kernel, sequence), cat("transform sequence '", to_string(sequence),
-                                         "' is illegal for kernel ", kernel_name));
+    check(is_safe(kernel, sequence), [&] {
+      return cat("transform sequence '", to_string(sequence), "' is illegal for kernel ",
+                 kernel_name);
+    });
     AbsState state = source;
     for (const LoopTransform& t : sequence) apply_abs(state, t);
     visit(state, sequence);

@@ -113,14 +113,17 @@ Flags parse_flags(const std::vector<std::string>& args, std::size_t first,
   Flags flags;
   for (std::size_t i = first; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    check(starts_with(arg, "--"), cat("unexpected argument: ", arg));
+    check(starts_with(arg, "--"), [&] { return cat("unexpected argument: ", arg); });
     const std::size_t eq = arg.find('=');
     const std::string name = arg.substr(2, eq == std::string::npos ? eq : eq - 2);
     const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
     check(std::find_if(known.begin(), known.end(),
-                       [&](const char* k) { return name == k; }) != known.end(),
-          cat("unknown flag: --", name));
-    check(flags.values.emplace(name, value).second, cat("duplicate flag: --", name));
+                       [&](const char* k) { return name == k; }) != known.end(), [&] {
+      return cat("unknown flag: --", name);
+    });
+    check(flags.values.emplace(name, value).second, [&] {
+      return cat("duplicate flag: --", name);
+    });
     flags.order.push_back(name);
   }
   return flags;
@@ -128,7 +131,7 @@ Flags parse_flags(const std::vector<std::string>& args, std::size_t first,
 
 SpaceKernel load_kernel_file(const std::string& path) {
   std::ifstream in(path);
-  check(in.good(), cat("cannot open kernel file: ", path));
+  check(in.good(), [&] { return cat("cannot open kernel file: ", path); });
   std::ostringstream text;
   text << in.rdbuf();
   Kernel kernel = parse_kernel(text.str());
@@ -162,7 +165,7 @@ void resolve_kernel(const std::string& token, std::vector<SpaceKernel>& out) {
 std::vector<SpaceKernel> resolve_kernels(const std::string& list) {
   std::vector<SpaceKernel> out;
   for (const std::string& token : split(list, ',')) {
-    check(!trim(token).empty(), cat("empty kernel name in '", list, "'"));
+    check(!trim(token).empty(), [&] { return cat("empty kernel name in '", list, "'"); });
     resolve_kernel(std::string(trim(token)), out);
   }
   check(!out.empty(), "no kernels selected");
@@ -188,7 +191,7 @@ std::vector<std::vector<LoopTransform>> resolve_transform_sequences(
   std::vector<std::vector<LoopTransform>> sequences;
   for (const std::string& token : split(value, '+')) {
     std::vector<LoopTransform> sequence = parse_transforms(token);
-    check(!sequence.empty(), cat("empty transform sequence in '", value, "'"));
+    check(!sequence.empty(), [&] { return cat("empty transform sequence in '", value, "'"); });
     sequences.push_back(std::move(sequence));
   }
   return sequences;
@@ -205,11 +208,13 @@ int parse_int(const std::string& text, const char* what, int min_value) {
   // The length bound keeps std::stoi from throwing std::out_of_range,
   // which would escape run_cli's srra::Error handler and abort.
   check(!text.empty() && text.size() <= 7 &&
-            text.find_first_not_of("0123456789") == std::string::npos,
-        cat("bad ", what, " value: ", text));
+            text.find_first_not_of("0123456789") == std::string::npos, [&] {
+    return cat("bad ", what, " value: ", text);
+  });
   const int value = std::stoi(text);
-  check(value >= min_value,
-        cat("bad ", what, " value: ", text, " (must be >= ", min_value, ")"));
+  check(value >= min_value, [&] {
+    return cat("bad ", what, " value: ", text, " (must be >= ", min_value, ")");
+  });
   return value;
 }
 
@@ -319,8 +324,9 @@ int cmd_run(const Flags& flags, std::ostream& out) {
 int cmd_sweep(const Flags& flags, std::ostream& out, bool reduce_to_pareto) {
   check(!flags.has("budget"), "sweep/pareto take --budgets, not --budget");
   const std::string prune_mode = flags.get("prune", "off");
-  check(prune_mode == "on" || prune_mode == "off",
-        cat("bad --prune value: ", prune_mode, " (want on|off)"));
+  check(prune_mode == "on" || prune_mode == "off", [&] {
+    return cat("bad --prune value: ", prune_mode, " (want on|off)");
+  });
   AxisSpec axes;
   axes.kernels = resolve_kernels(flags.get("kernel", "paper"));
   axes.algorithms = resolve_algorithms(flags.get("algos", "paper"));
@@ -377,8 +383,9 @@ std::string client_request(const std::map<std::string, std::string>& tokens) {
                                   "budgets", "fetch",     "probe",  "key",
                                   "timing",  "id",        "health", "shutdown"};
     check(std::find_if(std::begin(known), std::end(known),
-                       [&, n = name](const char* k) { return n == k; }) != std::end(known),
-          cat("unknown request token: ", name, (value.empty() ? "" : "="), value));
+                       [&, n = name](const char* k) { return n == k; }) != std::end(known), [&] {
+      return cat("unknown request token: ", name, (value.empty() ? "" : "="), value);
+    });
   }
   const auto has = [&](const char* k) { return tokens.count(k) != 0; };
   const auto get = [&](const char* k) { return tokens.at(k); };
@@ -414,7 +421,9 @@ std::string client_request(const std::map<std::string, std::string>& tokens) {
     }
     if (has("fetch")) {
       const std::string mode = get("fetch");
-      check(mode == "on" || mode == "off", cat("bad fetch value: ", mode, " (want on|off)"));
+      check(mode == "on" || mode == "off", [&] {
+        return cat("bad fetch value: ", mode, " (want on|off)");
+      });
       if (mode == "off") request.set("fetch", JsonValue::make_bool(false));
     }
     if (has("probe")) request.set("probe", JsonValue::make_bool(true));
@@ -428,8 +437,9 @@ std::string client_request(const std::map<std::string, std::string>& tokens) {
 // timing) stripped away, so two service passes over the same queries
 // compare byte-identical (the CI smoke test diffs exactly this).
 int client_decode(const std::string& mode, std::ostream& out) {
-  check(mode.empty() || mode == "full" || mode == "query",
-        cat("bad --decode value: ", mode, " (want full|query)"));
+  check(mode.empty() || mode == "full" || mode == "query", [&] {
+    return cat("bad --decode value: ", mode, " (want full|query)");
+  });
   for (;;) {
     const std::optional<std::string> frame = service::read_frame(std::cin);
     if (!frame.has_value()) return 0;
@@ -455,7 +465,7 @@ int cmd_client(const Flags& flags, std::ostream& out) {
   if (flags.has("script")) {
     const std::string path = flags.get("script", "");
     std::ifstream in(path);
-    check(in.good(), cat("cannot open script file: ", path));
+    check(in.good(), [&] { return cat("cannot open script file: ", path); });
     std::string line;
     while (std::getline(in, line)) {
       const std::string_view body = trim(line);
@@ -467,8 +477,9 @@ int cmd_client(const Flags& flags, std::ostream& out) {
         const std::size_t eq = token.find('=');
         const std::string name = token.substr(0, eq);
         const std::string value = eq == std::string::npos ? "" : token.substr(eq + 1);
-        check(tokens.emplace(name, value).second,
-              cat("duplicate request token '", name, "' in: ", std::string(body)));
+        check(tokens.emplace(name, value).second, [&] {
+          return cat("duplicate request token '", name, "' in: ", std::string(body));
+        });
       }
       requests.push_back(client_request(tokens));
     }
@@ -515,8 +526,9 @@ int cmd_client(const Flags& flags, std::ostream& out) {
   }();
 
   const std::string print_mode = flags.get("print", "");
-  check(print_mode.empty() || print_mode == "query",
-        cat("bad --print value: ", print_mode, " (want query)"));
+  check(print_mode.empty() || print_mode == "query", [&] {
+    return cat("bad --print value: ", print_mode, " (want query)");
+  });
   bool all_ok = true;
   for (const std::string& response : client.roundtrip_batch(requests)) {
     const JsonValue envelope = parse_json(response);

@@ -19,12 +19,14 @@ constexpr std::int64_t kMaxBudget = 1'000'000;
 std::int64_t parse_positive(std::string_view token, const std::string& spec) {
   const std::string text(trim(token));
   check(!text.empty() && text.size() <= 7 &&
-            text.find_first_not_of("0123456789") == std::string::npos,
-        cat("bad budget spec '", spec, "': '", text,
-            "' is not a positive integer <= ", kMaxBudget));
+            text.find_first_not_of("0123456789") == std::string::npos, [&] {
+    return cat("bad budget spec '", spec, "': '", text, "' is not a positive integer <= ",
+               kMaxBudget);
+  });
   const std::int64_t value = std::stoll(text);
-  check(value > 0 && value <= kMaxBudget,
-        cat("bad budget spec '", spec, "': budgets must be in [1, ", kMaxBudget, "]"));
+  check(value > 0 && value <= kMaxBudget, [&] {
+    return cat("bad budget spec '", spec, "': budgets must be in [1, ", kMaxBudget, "]");
+  });
   return value;
 }
 
@@ -81,11 +83,12 @@ std::vector<std::int64_t> parse_budget_spec(const std::string& spec) {
   std::vector<std::int64_t> budgets;
   if (spec.find(':') != std::string::npos) {
     const std::vector<std::string> parts = split(spec, ':');
-    check(parts.size() == 2 || parts.size() == 3,
-          cat("bad budget spec '", spec, "': want lo:hi or lo:hi:step"));
+    check(parts.size() == 2 || parts.size() == 3, [&] {
+      return cat("bad budget spec '", spec, "': want lo:hi or lo:hi:step");
+    });
     const std::int64_t lo = parse_positive(parts[0], spec);
     const std::int64_t hi = parse_positive(parts[1], spec);
-    check(lo <= hi, cat("bad budget spec '", spec, "': lo > hi"));
+    check(lo <= hi, [&] { return cat("bad budget spec '", spec, "': lo > hi"); });
     if (parts.size() == 3) {
       const std::int64_t step = parse_positive(parts[2], spec);
       for (std::int64_t b = lo; b <= hi; b += step) budgets.push_back(b);
@@ -108,13 +111,14 @@ std::vector<std::int64_t> parse_size_list(const std::string& spec, const char* w
   for (const std::string& token : split(spec, ',')) {
     const std::string text(trim(token));
     check(!text.empty() && text.size() <= 7 &&
-              text.find_first_not_of("0123456789") == std::string::npos,
-          cat("bad ", what, " spec '", spec, "': '", text, "' is not an integer"));
+              text.find_first_not_of("0123456789") == std::string::npos, [&] {
+      return cat("bad ", what, " spec '", spec, "': '", text, "' is not an integer");
+    });
     const std::int64_t value = std::stoll(text);
-    check(value >= 2, cat("bad ", what, " spec '", spec, "': values must be >= 2"));
+    check(value >= 2, [&] { return cat("bad ", what, " spec '", spec, "': values must be >= 2"); });
     sizes.push_back(value);
   }
-  check(!sizes.empty(), cat("bad ", what, " spec '", spec, "': empty"));
+  check(!sizes.empty(), [&] { return cat("bad ", what, " spec '", spec, "': empty"); });
   std::sort(sizes.begin(), sizes.end());
   sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
   return sizes;

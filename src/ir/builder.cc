@@ -36,7 +36,7 @@ AffineExpr KernelBuilder::lit(std::int64_t value) {
 ArrayAccess KernelBuilder::make_access(const std::string& array,
                                        std::vector<AffineExpr> subscripts) {
   const auto id = kernel_.find_array(array);
-  check(id.has_value(), cat("unknown array: ", array));
+  check(id.has_value(), [&] { return cat("unknown array: ", array); });
   return ArrayAccess{*id, std::move(subscripts)};
 }
 

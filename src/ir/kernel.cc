@@ -18,7 +18,9 @@ Kernel Kernel::clone() const {
 
 int Kernel::add_array(ArrayDecl decl) {
   check(!decl.name.empty(), "array needs a name");
-  check(!find_array(decl.name).has_value(), cat("duplicate array name: ", decl.name));
+  check(!find_array(decl.name).has_value(), [&] {
+    return cat("duplicate array name: ", decl.name);
+  });
   for (std::int64_t d : decl.dims) check(d > 0, "array dimensions must be positive");
   arrays_.push_back(std::move(decl));
   return static_cast<int>(arrays_.size()) - 1;
@@ -39,7 +41,7 @@ std::optional<int> Kernel::find_array(const std::string& name) const {
 int Kernel::add_loop(Loop loop) {
   check(!loop.var.empty(), "loop needs a variable name");
   for (const Loop& existing : loops_) {
-    check(existing.var != loop.var, cat("duplicate loop variable: ", loop.var));
+    check(existing.var != loop.var, [&] { return cat("duplicate loop variable: ", loop.var); });
   }
   check(loop.step > 0, "loop step must be positive");
   loops_.push_back(std::move(loop));
@@ -80,11 +82,13 @@ namespace {
 
 void validate_access(const Kernel& kernel, const ArrayAccess& access) {
   const ArrayDecl& decl = kernel.array(access.array_id);
-  check(static_cast<int>(access.subscripts.size()) == decl.rank(),
-        cat("subscript count mismatch for array ", decl.name));
+  check(static_cast<int>(access.subscripts.size()) == decl.rank(), [&] {
+    return cat("subscript count mismatch for array ", decl.name);
+  });
   for (const AffineExpr& sub : access.subscripts) {
-    check(sub.depth() == kernel.depth(),
-          cat("subscript depth mismatch for array ", decl.name));
+    check(sub.depth() == kernel.depth(), [&] {
+      return cat("subscript depth mismatch for array ", decl.name);
+    });
   }
 }
 
@@ -182,7 +186,7 @@ void Kernel::validate() const {
   check(!loops_.empty(), "kernel needs at least one loop");
   check(!body_.empty(), "kernel needs at least one statement");
   for (const Loop& l : loops_) {
-    check(l.trip_count() > 0, cat("loop ", l.var, " has zero trip count"));
+    check(l.trip_count() > 0, [&] { return cat("loop ", l.var, " has zero trip count"); });
   }
   for (const Stmt& s : body_) {
     validate_access(*this, s.lhs);

@@ -83,9 +83,10 @@ bool is_permutation(const std::vector<int>& perm, int depth) {
 // ---- The three rewrites ---------------------------------------------------
 
 Kernel apply_interchange(const Kernel& kernel, const std::vector<int>& perm) {
-  check(is_permutation(perm, kernel.depth()),
-        cat("interchange permutation is not a permutation of the ", kernel.depth(),
-            " loop levels"));
+  check(is_permutation(perm, kernel.depth()), [&] {
+    return cat("interchange permutation is not a permutation of the ", kernel.depth(),
+               " loop levels");
+  });
   const int depth = kernel.depth();
   std::vector<int> inverse(static_cast<std::size_t>(depth), 0);
   for (int l = 0; l < depth; ++l) inverse[static_cast<std::size_t>(perm[static_cast<std::size_t>(l)])] = l;
@@ -110,9 +111,10 @@ Kernel apply_tile(const Kernel& kernel, int level, std::int64_t size) {
   check(level >= 0 && level < kernel.depth(), "tile level out of range");
   const Loop& target = kernel.loop(level);
   check(size >= 2, "tile size must be at least 2");
-  check(target.trip_count() % size == 0,
-        cat("tile size ", size, " does not divide the trip count ", target.trip_count(),
-            " of loop ", target.var, " (full-tile precondition)"));
+  check(target.trip_count() % size == 0, [&] {
+    return cat("tile size ", size, " does not divide the trip count ", target.trip_count(),
+               " of loop ", target.var, " (full-tile precondition)");
+  });
 
   const int depth = kernel.depth();
   Kernel out(kernel.name());
@@ -158,9 +160,10 @@ Kernel apply_unroll_jam(const Kernel& kernel, int level, std::int64_t factor) {
   check(level >= 0 && level < kernel.depth(), "unroll-and-jam level out of range");
   const Loop& target = kernel.loop(level);
   check(factor >= 2, "unroll factor must be at least 2");
-  check(target.trip_count() % factor == 0,
-        cat("unroll factor ", factor, " does not divide the trip count ",
-            target.trip_count(), " of loop ", target.var, " (full-tile precondition)"));
+  check(target.trip_count() % factor == 0, [&] {
+    return cat("unroll factor ", factor, " does not divide the trip count ", target.trip_count(),
+               " of loop ", target.var, " (full-tile precondition)");
+  });
 
   Kernel out(kernel.name());
   for (const ArrayDecl& array : kernel.arrays()) out.add_array(array);
@@ -230,9 +233,10 @@ void apply_peeled_step(PeeledNest& nest, const LoopTransform& t) {
     const Loop target = nest.main.loop(t.level);
     const std::int64_t trip = target.trip_count();
     if (trip % t.amount != 0) {
-      check(t.amount >= 2 && t.amount < trip,
-            cat("tile size ", t.amount, " cannot peel loop ", target.var,
-                " with trip count ", trip));
+      check(t.amount >= 2 && t.amount < trip, [&] {
+        return cat("tile size ", t.amount, " cannot peel loop ", target.var, " with trip count ",
+                   trip);
+      });
       const std::int64_t split = target.lower + (trip - trip % t.amount) * target.step;
       Kernel epilogue = with_loop_bounds(nest.main, t.level, split, target.upper);
       epilogue.set_name(cat(nest.main.name(), "__peel", nest.epilogues.size() + 1));
@@ -281,9 +285,9 @@ const char* kind_tag(TransformKind kind) {
 std::int64_t parse_arg(std::string_view token, const std::string& text) {
   const std::string value(trim(token));
   check(!value.empty() && value.size() <= 7 &&
-            value.find_first_not_of("0123456789") == std::string::npos,
-        cat("bad transform spec '", text, "': '", value,
-            "' is not a non-negative integer"));
+            value.find_first_not_of("0123456789") == std::string::npos, [&] {
+    return cat("bad transform spec '", text, "': '", value, "' is not a non-negative integer");
+  });
   return std::stoll(value);
 }
 
@@ -430,10 +434,11 @@ std::vector<LoopTransform> parse_transforms(const std::string& text) {
   if (trim(text).empty()) return out;
   for (const std::string& token : split(text, ';')) {
     const std::string_view item = trim(token);
-    check(!item.empty(), cat("bad transform spec '", text, "': empty transform"));
+    check(!item.empty(), [&] { return cat("bad transform spec '", text, "': empty transform"); });
     const std::size_t open = item.find('(');
-    check(open != std::string_view::npos && item.back() == ')',
-          cat("bad transform spec '", text, "': want tag(args) in '", item, "'"));
+    check(open != std::string_view::npos && item.back() == ')', [&] {
+      return cat("bad transform spec '", text, "': want tag(args) in '", item, "'");
+    });
     const std::string_view tag = trim(item.substr(0, open));
     const std::string args_text(item.substr(open + 1, item.size() - open - 2));
     std::vector<std::int64_t> args;
@@ -441,16 +446,18 @@ std::vector<LoopTransform> parse_transforms(const std::string& text) {
       args.push_back(parse_arg(arg, text));
     }
     if (tag == "i") {
-      check(args.size() >= 2, cat("bad transform spec '", text,
-                                  "': i(...) needs at least two levels"));
+      check(args.size() >= 2, [&] {
+        return cat("bad transform spec '", text, "': i(...) needs at least two levels");
+      });
       std::vector<int> perm;
       perm.reserve(args.size());
       for (const std::int64_t level : args) perm.push_back(static_cast<int>(level));
       out.push_back(LoopTransform::interchange(std::move(perm)));
     } else if (tag == "t" || tag == "uj") {
-      check(args.size() == 2, cat("bad transform spec '", text, "': ", tag,
-                                  "(...) takes (level, ", tag == "t" ? "size" : "factor",
-                                  ")"));
+      check(args.size() == 2, [&] {
+        return cat("bad transform spec '", text, "': ", tag, "(...) takes (level, ",
+                   tag == "t" ? "size" : "factor", ")");
+      });
       out.push_back(tag == "t"
                         ? LoopTransform::tile(static_cast<int>(args[0]), args[1])
                         : LoopTransform::unroll_jam(static_cast<int>(args[0]), args[1]));

@@ -54,7 +54,7 @@ void wait_ready(int fd, short events, Clock::time_point deadline, const char* do
     p.fd = fd;
     p.events = events;
     const int timeout = poll_timeout(deadline);
-    check(timeout != 0, cat("srrad client deadline exceeded while ", doing));
+    check(timeout != 0, [&] { return cat("srrad client deadline exceeded while ", doing); });
     const int rc = ::poll(&p, 1, timeout);
     if (rc > 0) return;
     if (rc == 0) fail(cat("srrad client deadline exceeded while ", doing));
@@ -65,8 +65,9 @@ void wait_ready(int fd, short events, Clock::time_point deadline, const char* do
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
-  check(flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0,
-        cat("fcntl(O_NONBLOCK): ", std::strerror(errno)));
+  check(flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0, [&] {
+    return cat("fcntl(O_NONBLOCK): ", std::strerror(errno));
+  });
 }
 
 /// Non-blocking connect with a deadline: initiate, poll for writability,
@@ -112,24 +113,26 @@ int dial(int fd, const sockaddr* addr, socklen_t len, const ClientOptions& optio
 int dial_unix(const std::string& path, const ClientOptions& options) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
-  check(path.size() < sizeof addr.sun_path,
-        cat("socket path too long (max ", sizeof addr.sun_path - 1, "): ", path));
+  check(path.size() < sizeof addr.sun_path, [&] {
+    return cat("socket path too long (max ", sizeof addr.sun_path - 1, "): ", path);
+  });
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  check(fd >= 0, cat("socket(): ", std::strerror(errno)));
+  check(fd >= 0, [&] { return cat("socket(): ", std::strerror(errno)); });
   return dial(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr, options,
               cat("'", path, "'"));
 }
 
 int dial_tcp(const std::string& host, int port, const ClientOptions& options) {
-  check(port > 0 && port < 65536, cat("bad TCP port: ", port));
+  check(port > 0 && port < 65536, [&] { return cat("bad TCP port: ", port); });
   addrinfo hints{};
   hints.ai_family = AF_INET;
   hints.ai_socktype = SOCK_STREAM;
   addrinfo* found = nullptr;
   const int rc = ::getaddrinfo(host.c_str(), std::to_string(port).c_str(), &hints, &found);
-  check(rc == 0 && found != nullptr,
-        cat("cannot resolve '", host, "': ", ::gai_strerror(rc)));
+  check(rc == 0 && found != nullptr, [&] {
+    return cat("cannot resolve '", host, "': ", ::gai_strerror(rc));
+  });
   const int fd = ::socket(found->ai_family, found->ai_socktype, found->ai_protocol);
   if (fd < 0) {
     ::freeaddrinfo(found);

@@ -206,6 +206,14 @@ std::string payload_hash(std::string_view payload) {
   return hex16(fnv1a64(payload));
 }
 
+bool valid_query_payload(std::string_view payload) {
+  try {
+    return parse_json(payload).is_object();
+  } catch (const Error&) {
+    return false;
+  }
+}
+
 // ------------------------------------------------- query report (cached unit)
 
 QueryReport evaluate_query(const RefModel& model, const QueryInput& input) {
@@ -228,7 +236,9 @@ QueryReport evaluate_query(const RefModel& model, const QueryInput& input) {
       report.points.emplace_back(input.budget, std::move(design));
     } catch (const Error& e) {
       report.feasible = false;  // budget below the feasibility assignment
-      report.error = e.what();
+      // The bare message: cached bytes must not depend on where or from
+      // which revision the daemon was built.
+      report.error = e.message();
     }
   } else {
     std::vector<DesignPoint> designs =
@@ -302,42 +312,54 @@ std::string query_payload(const QueryReport& report) {
 
 namespace {
 
-JsonValue envelope_head(const std::string& id, bool ok) {
-  JsonValue envelope = JsonValue::make_object();
-  envelope.set("schema", JsonValue::make_string(kServiceSchema));
-  if (!id.empty()) envelope.set("id", JsonValue::make_string(id));
-  envelope.set("ok", JsonValue::make_bool(ok));
-  return envelope;
+/// Opens an envelope: {"schema", "id" (when non-empty), "ok", ...
+void begin_envelope(JsonWriter& json, const std::string& id, bool ok) {
+  json.begin_object();
+  json.field("schema", kServiceSchema);
+  if (!id.empty()) json.field("id", id);
+  json.field("ok", ok);
 }
-
-std::string render(const JsonValue& envelope) { return envelope.to_string() + "\n"; }
 
 }  // namespace
 
 std::string make_query_response(const ResponseMeta& meta, const std::string& payload) {
-  JsonValue envelope = envelope_head(meta.id, /*ok=*/true);
+  std::ostringstream os;
+  JsonWriter json(os);
+  begin_envelope(json, meta.id, /*ok=*/true);
   if (!meta.cache_status.empty()) {
-    JsonValue cache = JsonValue::make_object();
-    cache.set("status", JsonValue::make_string(meta.cache_status));
-    cache.set("key", JsonValue::make_string(meta.key));
-    envelope.set("cache", std::move(cache));
+    json.key("cache");
+    json.begin_object();
+    json.field("status", meta.cache_status);
+    json.field("key", meta.key);
+    json.end_object();
   }
-  if (meta.elapsed_us >= 0) envelope.set("elapsed_us", JsonValue::make_int(meta.elapsed_us));
-  if (!payload.empty()) envelope.set("query", parse_json(payload));
-  return render(envelope);
+  if (meta.elapsed_us >= 0) json.field("elapsed_us", meta.elapsed_us);
+  if (!payload.empty()) {
+    json.key("query");
+    json.splice(payload);  // JsonWriter output, computed here or validated on entry
+  }
+  json.end_object();
+  return os.str();
 }
 
 std::string make_error_response(const std::string& id, const std::string& message) {
-  JsonValue envelope = envelope_head(id, /*ok=*/false);
-  envelope.set("error", JsonValue::make_string(message));
-  return render(envelope);
+  std::ostringstream os;
+  JsonWriter json(os);
+  begin_envelope(json, id, /*ok=*/false);
+  json.field("error", message);
+  json.end_object();
+  return os.str();
 }
 
 std::string make_value_response(const std::string& id, const std::string& member,
                                 const JsonValue& value) {
-  JsonValue envelope = envelope_head(id, /*ok=*/true);
-  envelope.set(member, value);
-  return render(envelope);
+  std::ostringstream os;
+  JsonWriter json(os);
+  begin_envelope(json, id, /*ok=*/true);
+  json.key(member);
+  value.write(json);
+  json.end_object();
+  return os.str();
 }
 
 }  // namespace srra::service

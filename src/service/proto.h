@@ -118,7 +118,7 @@ Request parse_request(const std::string& payload);
 /// format-version salt — bump kKeyVersion whenever the payload schema or
 /// any model semantics change, and a warm store degrades to misses instead
 /// of serving stale shapes. 16 lowercase hex characters.
-inline constexpr const char kKeyVersion[] = "srrad-key/v1";
+inline constexpr const char kKeyVersion[] = "srrad-key/v2";
 std::string cache_key(std::uint64_t kernel_hash, std::string_view kernel_name,
                       const Request& request);
 
@@ -126,6 +126,12 @@ std::string cache_key(std::uint64_t kernel_hash, std::string_view kernel_name,
 /// the integrity stamp in `srrad --export-manifest` output and the pull
 /// op's entries, so a warmed shard can prove it holds the peer's bytes.
 std::string payload_hash(std::string_view payload);
+
+/// True when `payload` parses as one JSON object: the gate a payload passes
+/// where it enters a daemon from outside (a store read, a pulled page)
+/// before make_query_response splices it unparsed. Payloads computed in
+/// process are query_payload output and need no check.
+bool valid_query_payload(std::string_view payload);
 
 // ------------------------------------------------- query report (cached unit)
 
@@ -140,7 +146,7 @@ struct QueryReport {
   std::int64_t budget = 0;       ///< budget mode only
   std::int64_t outer_trip = 1;   ///< outermost trip count (Tmem/outer column)
   bool feasible = true;          ///< budget mode: budget covers feasibility
-  std::string error;             ///< diagnostic when infeasible
+  std::string error;             ///< diagnostic when infeasible (Error::message)
   /// (budget, design) rows: exactly one when feasible in budget mode; one
   /// per feasible budget of the axis in frontier mode.
   std::vector<std::pair<std::int64_t, DesignPoint>> points;
@@ -188,8 +194,10 @@ struct ResponseMeta {
   std::int64_t elapsed_us = -1;    ///< < 0 = omit
 };
 
-/// Assembles the success envelope around a query payload (parsed and
-/// re-emitted so the envelope stays one well-indented document).
+/// Assembles the success envelope around a query payload ("" = no "query"
+/// member). The payload is spliced, not parsed (JsonWriter::splice): it must
+/// be query_payload output, or have been validated where it entered the
+/// daemon (a store read or a pull page).
 std::string make_query_response(const ResponseMeta& meta, const std::string& payload);
 
 /// Assembles an ok:false envelope.

@@ -43,12 +43,19 @@ std::string join_int64(const std::vector<std::int64_t>& values) {
 
 // (kernel text, transform encoding) resolved once and memoized across
 // batches: display name, canonical transforms, the transformed kernel and
-// its structural hash — everything the cache key and a compute job need.
+// its structural hash — everything the cache key and a compute job need —
+// plus the variant's RefModel, built by its first compute job and kept
+// until the memo is trimmed. One batch runs all of a variant's jobs on one
+// lane, and batches are ordered by the pool's barrier, so no two lanes
+// ever build or share it at once; every memoized value in a RefModel is a
+// function of its key, so a warm model answers the same bytes as a fresh
+// one.
 struct Server::ResolvedVariant {
   std::string display_name;
   std::string transforms;  ///< canonical encoding ("" = none)
   std::uint64_t hash = 0;
   Kernel kernel;  ///< transformed
+  std::unique_ptr<const RefModel> model;  ///< null until the first compute job
 };
 
 // Per-request batch state.
@@ -56,7 +63,7 @@ struct Server::Slot {
   Request request;
   bool ok = false;     ///< parsed and (for queries) resolved
   std::string error;   ///< parse/resolve diagnostic when !ok
-  const ResolvedVariant* variant = nullptr;  ///< null for key-only probes
+  ResolvedVariant* variant = nullptr;  ///< null for key-only probes
   Algorithm algorithm = Algorithm::kCpaRa;
   std::string algorithm_display;
   std::vector<std::int64_t> budgets;  ///< frontier-mode canonical axis
@@ -81,7 +88,14 @@ std::optional<std::string> Server::store_get(const std::string& key,
   // Compute-only mode skips reads too: a disk that fails writes is not a
   // disk to trust for reads, and every skipped call is latency saved.
   if (store_mode_ != StoreMode::kOk) return std::nullopt;
-  return store_.get(key, cost_out);
+  std::optional<std::string> payload = store_.get(key, cost_out);
+  // Responses splice payloads unparsed, so bytes from disk are checked
+  // here, where they enter: a body mangled in place degrades to a miss.
+  if (payload.has_value() && !valid_query_payload(*payload)) {
+    store_.drop_corrupt(key);
+    return std::nullopt;
+  }
+  return payload;
 }
 
 void Server::store_put(const std::string& key, const std::string& payload,
@@ -144,6 +158,10 @@ std::string Server::health_response(const std::string& id) {
   health.set("errors", JsonValue::make_int(stats_.errors));
   health.set("deadline_closes", JsonValue::make_int(stats_.deadline_closes));
   health.set("fault_plan", JsonValue::make_bool(faultio::plan_installed()));
+  health.set("model_builds", JsonValue::make_int(stats_.model_builds));
+  health.set("models", JsonValue::make_int(static_cast<std::int64_t>(std::count_if(
+                           variants_.begin(), variants_.end(),
+                           [](const auto& entry) { return entry.second->model != nullptr; }))));
   return make_value_response(id, "health", health);
 }
 
@@ -204,15 +222,16 @@ int Server::warm_from_peer(const std::string& endpoint) {
       return Client::connect_unix(endpoint, copts);
     }
     const std::size_t colon = endpoint.rfind(':');
-    check(colon != std::string::npos && colon + 1 < endpoint.size(),
-          cat("bad --warm-from endpoint '", endpoint,
-              "' (want a socket path or host:port)"));
+    check(colon != std::string::npos && colon + 1 < endpoint.size(), [&] {
+      return cat("bad --warm-from endpoint '", endpoint, "' (want a socket path or host:port)");
+    });
     int port = 0;
     for (std::size_t i = colon + 1; i < endpoint.size(); ++i) {
-      check(std::isdigit(static_cast<unsigned char>(endpoint[i])) != 0,
-            cat("bad --warm-from port in '", endpoint, "'"));
+      check(std::isdigit(static_cast<unsigned char>(endpoint[i])) != 0, [&] {
+        return cat("bad --warm-from port in '", endpoint, "'");
+      });
       port = port * 10 + (endpoint[i] - '0');
-      check(port < 65536, cat("bad --warm-from port in '", endpoint, "'"));
+      check(port < 65536, [&] { return cat("bad --warm-from port in '", endpoint, "'"); });
     }
     return Client::connect_tcp(endpoint.substr(0, colon), port, copts);
   }();
@@ -259,8 +278,12 @@ int Server::warm_from_peer(const std::string& endpoint) {
                 payload != nullptr,
             "peer pull entry is missing key/cost/hash/payload");
       // Integrity gate: adopt only bytes that hash to what the peer
-      // claimed — a torn frame or buggy peer must not seed this store.
-      if (payload_hash(payload->as_string()) != hash->as_string()) continue;
+      // claimed and that are a JSON object — a torn frame, a buggy peer or
+      // a peer's corrupt entry must not seed this store.
+      if (payload_hash(payload->as_string()) != hash->as_string() ||
+          !valid_query_payload(payload->as_string())) {
+        continue;
+      }
       const bool memory_room = !memory_full();
       const bool store_room = !store_full();
       if (memory_room) cache_insert(key->as_string(), payload->as_string(), cost->as_int());
@@ -276,8 +299,8 @@ int Server::warm_from_peer(const std::string& endpoint) {
   return adopted;
 }
 
-const Server::ResolvedVariant& Server::resolve_variant(const std::string& kernel_field,
-                                                       const std::string& transforms) {
+Server::ResolvedVariant& Server::resolve_variant(const std::string& kernel_field,
+                                                 const std::string& transforms) {
   const std::string memo_key = cat(kernel_field, '\x1f', transforms);
   const auto it = variants_.find(memo_key);
   if (it != variants_.end()) return *it->second;
@@ -293,8 +316,10 @@ const Server::ResolvedVariant& Server::resolve_variant(const std::string& kernel
     variant->display_name = base.name();
   } else {
     std::optional<kernels::NamedKernel> builtin = kernels::find_builtin(kernel_field);
-    check(builtin.has_value(), cat("unknown kernel '", kernel_field,
-                                   "' (want a builtin name or inline kernel-DSL text)"));
+    check(builtin.has_value(), [&] {
+      return cat("unknown kernel '", kernel_field,
+                 "' (want a builtin name or inline kernel-DSL text)");
+    });
     base = std::move(builtin->kernel);
     variant->display_name = std::move(builtin->name);
   }
@@ -311,7 +336,7 @@ const Server::ResolvedVariant& Server::resolve_variant(const std::string& kernel
   }
   variant->hash = structural_hash(variant->kernel);
 
-  const ResolvedVariant& ref = *variant;
+  ResolvedVariant& ref = *variant;
   variants_.emplace(memo_key, std::move(variant));
   return ref;
 }
@@ -334,8 +359,8 @@ std::vector<std::string> Server::handle_batch(const std::vector<std::string>& re
   const auto t0 = std::chrono::steady_clock::now();
 
   // The variant memo hands out stable pointers for the duration of one
-  // batch; trim it only between batches.
-  if (variants_.size() > 512) variants_.clear();
+  // batch; trim it only between batches. Its models go with it.
+  if (variants_.size() > kMaxVariants) variants_.clear();
 
   // Phase 1 — parse, resolve and key every request (serial; kernel
   // resolution is memoized, so repeated texts cost one lookup).
@@ -353,7 +378,7 @@ std::vector<std::string> Server::handle_batch(const std::vector<std::string>& re
         slot.ok = true;
         continue;
       }
-      const ResolvedVariant& variant =
+      ResolvedVariant& variant =
           resolve_variant(slot.request.kernel, slot.request.transforms);
       slot.variant = &variant;
       slot.algorithm = parse_algorithm(slot.request.algorithm);
@@ -418,16 +443,22 @@ std::vector<std::string> Server::handle_batch(const std::vector<std::string>& re
   }
 
   // Phase 3 — compute unique jobs on the pool, grouped by kernel variant:
-  // jobs of one variant share one RefModel (and therefore one analysis
-  // pass), exactly like dse/explore's per-variant sharding. Each job
-  // writes only its own slot, so results are identical for any lane count.
+  // jobs of one variant share the variant's RefModel (and therefore one
+  // analysis pass, for this batch and every later one), exactly like
+  // dse/explore's per-variant sharding. Each job writes only its own slot,
+  // so results are identical for any lane count.
   std::vector<std::vector<int>> groups;
+  std::vector<ResolvedVariant*> group_variants;
   {
-    std::unordered_map<const ResolvedVariant*, std::size_t> group_of;
+    std::unordered_map<ResolvedVariant*, std::size_t> group_of;
     for (std::size_t j = 0; j < job_slots.size(); ++j) {
-      const ResolvedVariant* variant = slots[static_cast<std::size_t>(job_slots[j])].variant;
+      ResolvedVariant* variant = slots[static_cast<std::size_t>(job_slots[j])].variant;
       const auto [it, inserted] = group_of.emplace(variant, groups.size());
-      if (inserted) groups.emplace_back();
+      if (inserted) {
+        groups.emplace_back();
+        group_variants.push_back(variant);
+        if (variant->model == nullptr) ++stats_.model_builds;
+      }
       groups[it->second].push_back(static_cast<int>(j));
     }
   }
@@ -435,10 +466,11 @@ std::vector<std::string> Server::handle_batch(const std::vector<std::string>& re
   std::vector<std::string> compute_errors(job_slots.size());
   pool_.parallel_for(static_cast<std::int64_t>(groups.size()), [&](std::int64_t g) {
     const std::vector<int>& jobs = groups[static_cast<std::size_t>(g)];
-    const ResolvedVariant& variant =
-        *slots[static_cast<std::size_t>(job_slots[static_cast<std::size_t>(jobs.front())])]
-             .variant;
-    const RefModel model(variant.kernel.clone());
+    ResolvedVariant& variant = *group_variants[static_cast<std::size_t>(g)];
+    if (variant.model == nullptr) {
+      variant.model = std::make_unique<const RefModel>(variant.kernel.clone());
+    }
+    const RefModel& model = *variant.model;
     for (const int j : jobs) {
       const Slot& slot = slots[static_cast<std::size_t>(job_slots[static_cast<std::size_t>(j)])];
       try {
@@ -760,12 +792,13 @@ int Server::serve_fd(int listen_fd) {
 int Server::serve_unix(const std::string& path) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
-  check(path.size() < sizeof addr.sun_path,
-        cat("socket path too long (max ", sizeof addr.sun_path - 1, "): ", path));
+  check(path.size() < sizeof addr.sun_path, [&] {
+    return cat("socket path too long (max ", sizeof addr.sun_path - 1, "): ", path);
+  });
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
 
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  check(fd >= 0, cat("socket(): ", std::strerror(errno)));
+  check(fd >= 0, [&] { return cat("socket(): ", std::strerror(errno)); });
   ::unlink(path.c_str());  // stale socket from a previous run
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0 ||
       ::listen(fd, 64) != 0 || !set_nonblocking(fd)) {
@@ -779,14 +812,14 @@ int Server::serve_unix(const std::string& path) {
 }
 
 int Server::serve_tcp(int port) {
-  check(port > 0 && port < 65536, cat("bad TCP port: ", port));
+  check(port > 0 && port < 65536, [&] { return cat("bad TCP port: ", port); });
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);  // loopback only, by design
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  check(fd >= 0, cat("socket(): ", std::strerror(errno)));
+  check(fd >= 0, [&] { return cat("socket(): ", std::strerror(errno)); });
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0 ||

@@ -171,14 +171,14 @@ ResultStore::ResultStore(std::string dir, std::int64_t max_entries)
 
 ResultStore::ResultStore(std::string dir, StoreOptions options)
     : dir_(std::move(dir)), options_(options) {
-  check(options_.max_entries >= 1,
-        cat("ResultStore: max_entries must be >= 1 (got ", options_.max_entries,
-            ")"));
+  check(options_.max_entries >= 1, [&] {
+    return cat("ResultStore: max_entries must be >= 1 (got ", options_.max_entries, ")");
+  });
   if (dir_.empty()) return;
 
   std::error_code ec;
   fs::create_directories(dir_, ec);
-  check(!ec, cat("cannot create store directory '", dir_, "': ", ec.message()));
+  check(!ec, [&] { return cat("cannot create store directory '", dir_, "': ", ec.message()); });
 
   // Version stamp: a store written by a different format version is cleared
   // — stale payload shapes (and the index/journal describing them) must
@@ -424,7 +424,7 @@ bool ResultStore::reconcile_with_directory() {
       ++corrupt_dropped_;
     }
   }
-  check(!ec, cat("cannot scan store directory '", dir_, "': ", ec.message()));
+  check(!ec, [&] { return cat("cannot scan store directory '", dir_, "': ", ec.message()); });
   // Index rows whose file vanished (a peer's eviction whose D record was
   // lost to a crash): drop them, writing the D record the crash owed.
   std::vector<std::string> missing;
@@ -535,14 +535,17 @@ std::optional<std::string> ResultStore::get(const std::string& key,
   // Unreadable, torn, or mislabeled. A peer may have evicted the file
   // between our lookup and the read — after a leased refresh that is a
   // plain miss; only a key still indexed with a bad file is corruption.
-  {
-    StoreLease lease(*this);
-    if (index_.count(key) == 0) return std::nullopt;
-    ++corrupt_dropped_;
-    remove_entry(key);
-    ++mutations_;
-  }
+  drop_corrupt(key);
   return std::nullopt;
+}
+
+void ResultStore::drop_corrupt(const std::string& key) {
+  if (!enabled()) return;
+  StoreLease lease(*this);
+  if (index_.count(key) == 0) return;
+  ++corrupt_dropped_;
+  remove_entry(key);
+  ++mutations_;
 }
 
 bool ResultStore::put(const std::string& key, const std::string& payload,

@@ -15,7 +15,8 @@
 //    a half-visible one; every crash point of the write path (see
 //    support/faultio.h) recovers to a store that answers byte-identically;
 //  * corrupt tolerance — an entry that fails validation (bad stamp, wrong
-//    key, short payload) reads as a miss and is dropped, never a crash;
+//    key, short payload; or, checked by the server, a body that is not a
+//    JSON object) reads as a miss and is dropped, never a crash;
 //  * version migration — a FORMAT stamp from another version clears the
 //    store (cold restart) instead of serving payloads of a stale schema;
 //  * bounded size — at most max_entries entries; inserting past the cap
@@ -120,6 +121,11 @@ class ResultStore {
   /// health state machine watches this signal).
   bool put(const std::string& key, const std::string& payload,
            std::int64_t cost = 1);
+
+  /// Drops `key` as corrupt (counted in corrupt_dropped()): for a caller
+  /// whose own validation rejected the payload get() returned. A no-op when
+  /// a peer already removed the key.
+  void drop_corrupt(const std::string& key);
 
   /// The current index, sorted by key (deterministic manifests). Replays
   /// any outstanding journal suffix first, so peers' entries are included.

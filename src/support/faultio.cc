@@ -77,8 +77,9 @@ std::int64_t g_fires[kSiteCount] = {};
 std::int64_t parse_u64(std::string_view text, std::string_view what) {
   const std::string t(text);
   check(!t.empty() && t.size() <= 18 &&
-            t.find_first_not_of("0123456789") == std::string::npos,
-        cat("fault plan: bad ", what, " value '", t, "'"));
+            t.find_first_not_of("0123456789") == std::string::npos, [&] {
+    return cat("fault plan: bad ", what, " value '", t, "'");
+  });
   return std::atoll(t.c_str());
 }
 
@@ -86,8 +87,9 @@ double parse_prob(std::string_view text) {
   const std::string t(text);
   char* end = nullptr;
   const double p = std::strtod(t.c_str(), &end);
-  check(end != t.c_str() && *end == '\0' && p >= 0.0 && p <= 1.0,
-        cat("fault plan: bad probability '", t, "' (want 0..1)"));
+  check(end != t.c_str() && *end == '\0' && p >= 0.0 && p <= 1.0, [&] {
+    return cat("fault plan: bad probability '", t, "' (want 0..1)");
+  });
   return p;
 }
 
@@ -149,24 +151,28 @@ std::unique_ptr<Plan> parse_plan(const std::string& text) {
     if (starts_with(body, "crash=")) {
       const std::string_view rest = body.substr(6);
       const std::size_t colon = rest.rfind(':');
-      check(colon != std::string_view::npos,
-            cat("fault plan: crash item needs POINT:N, got '", std::string(rest), "'"));
+      check(colon != std::string_view::npos, [&] {
+        return cat("fault plan: crash item needs POINT:N, got '", std::string(rest), "'");
+      });
       CrashRule rule;
       rule.point = std::string(trim(rest.substr(0, colon)));
       rule.nth = parse_u64(trim(rest.substr(colon + 1)), "crash count");
       check(rule.nth >= 1, "fault plan: crash count must be >= 1");
       check(std::find(kCrashPoints.begin(), kCrashPoints.end(), rule.point) !=
-                kCrashPoints.end(),
-            cat("fault plan: unknown crash point '", rule.point, "'"));
+                kCrashPoints.end(), [&] {
+        return cat("fault plan: unknown crash point '", rule.point, "'");
+      });
       plan->crashes.push_back(std::move(rule));
       continue;
     }
     const std::size_t eq = body.find('=');
-    check(eq != std::string_view::npos,
-          cat("fault plan: bad item '", std::string(body), "'"));
+    check(eq != std::string_view::npos, [&] {
+      return cat("fault plan: bad item '", std::string(body), "'");
+    });
     const int site = site_index(trim(body.substr(0, eq)));
-    check(site >= 0, cat("fault plan: unknown site '",
-                         std::string(trim(body.substr(0, eq))), "'"));
+    check(site >= 0, [&] {
+      return cat("fault plan: unknown site '", std::string(trim(body.substr(0, eq))), "'");
+    });
     for (const std::string& token : split(std::string(body.substr(eq + 1)), ',')) {
       plan->faults[site].push_back(parse_fault(trim(token)));
     }

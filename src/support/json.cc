@@ -129,6 +129,21 @@ void JsonWriter::null() {
   if (stack_.empty()) { os_ << '\n'; done_ = true; }
 }
 
+void JsonWriter::splice(std::string_view document) {
+  if (!document.empty() && document.back() == '\n') document.remove_suffix(1);
+  check(!document.empty(), "JsonWriter: splice of an empty document");
+  begin_value();
+  std::size_t from = 0;
+  for (std::size_t eol = document.find('\n'); eol != std::string_view::npos;
+       eol = document.find('\n', from)) {
+    os_.write(document.data() + from, static_cast<std::streamsize>(eol + 1 - from));
+    for (std::size_t i = 0; i < stack_.size(); ++i) os_ << "  ";
+    from = eol + 1;
+  }
+  os_.write(document.data() + from, static_cast<std::streamsize>(document.size() - from));
+  if (stack_.empty()) { os_ << '\n'; done_ = true; }
+}
+
 // ----------------------------------------------------------------- JsonValue
 
 JsonValue JsonValue::make_bool(bool v) {
@@ -272,13 +287,19 @@ class JsonParser {
   JsonValue parse_document() {
     JsonValue value = parse_value(0);
     skip_whitespace();
-    check(pos_ == text_.size(), where("trailing characters after JSON document"));
+    require(pos_ == text_.size(), "trailing characters after JSON document");
     return value;
   }
 
  private:
   std::string where(std::string_view message) const {
     return cat("JSON parse error at byte ", pos_, ": ", message);
+  }
+
+  /// check() with where(message); the offset is formatted only on failure.
+  void require(bool ok, const char* message,
+               SourceLocation loc = SourceLocation::current()) const {
+    check(ok, [&] { return where(message); }, loc);
   }
 
   void skip_whitespace() {
@@ -290,7 +311,7 @@ class JsonParser {
   }
 
   char peek() {
-    check(pos_ < text_.size(), where("unexpected end of input"));
+    require(pos_ < text_.size(), "unexpected end of input");
     return text_[pos_];
   }
 
@@ -303,17 +324,17 @@ class JsonParser {
   }
 
   void expect(char expected) {
-    check(consume(expected), where(cat("expected '", expected, "'")));
+    check(consume(expected), [&] { return where(cat("expected '", expected, "'")); });
   }
 
   void expect_literal(std::string_view literal) {
     check(text_.substr(pos_, literal.size()) == literal,
-          where(cat("expected '", literal, "'")));
+          [&] { return where(cat("expected '", literal, "'")); });
     pos_ += literal.size();
   }
 
   JsonValue parse_value(int depth) {
-    check(depth < kMaxParseDepth, where("nesting too deep"));
+    require(depth < kMaxParseDepth, "nesting too deep");
     skip_whitespace();
     const char c = peek();
     switch (c) {
@@ -334,7 +355,7 @@ class JsonParser {
     if (consume('}')) return object;
     for (;;) {
       skip_whitespace();
-      check(peek() == '"', where("expected object key string"));
+      require(peek() == '"', "expected object key string");
       std::string key = parse_string();
       skip_whitespace();
       expect(':');
@@ -364,16 +385,16 @@ class JsonParser {
     expect('"');
     std::string out;
     for (;;) {
-      check(pos_ < text_.size(), where("unterminated string"));
+      require(pos_ < text_.size(), "unterminated string");
       const char c = text_[pos_++];
       if (c == '"') return out;
       if (c != '\\') {
-        check(static_cast<unsigned char>(c) >= 0x20,
-              where("unescaped control character in string"));
+        require(static_cast<unsigned char>(c) >= 0x20,
+                "unescaped control character in string");
         out += c;
         continue;
       }
-      check(pos_ < text_.size(), where("unterminated escape"));
+      require(pos_ < text_.size(), "unterminated escape");
       const char esc = text_[pos_++];
       switch (esc) {
         case '"': out += '"'; break;
@@ -397,7 +418,7 @@ class JsonParser {
     const auto hex4 = [&]() -> unsigned {
       unsigned code = 0;
       for (int i = 0; i < 4; ++i) {
-        check(pos_ < text_.size(), where("truncated \\u escape"));
+        require(pos_ < text_.size(), "truncated \\u escape");
         const char c = text_[pos_++];
         code <<= 4;
         if (c >= '0' && c <= '9') code |= static_cast<unsigned>(c - '0');
@@ -409,12 +430,14 @@ class JsonParser {
     };
     unsigned code = hex4();
     if (code >= 0xD800 && code <= 0xDBFF) {
-      check(consume('\\') && consume('u'), where("unpaired UTF-16 surrogate"));
+      // Tested before consuming, so the error names the escape's first byte.
+      require(text_.substr(pos_, 2) == "\\u", "unpaired UTF-16 surrogate");
+      pos_ += 2;
       const unsigned low = hex4();
-      check(low >= 0xDC00 && low <= 0xDFFF, where("bad low surrogate"));
+      require(low >= 0xDC00 && low <= 0xDFFF, "bad low surrogate");
       code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
     } else {
-      check(!(code >= 0xDC00 && code <= 0xDFFF), where("unpaired UTF-16 surrogate"));
+      require(!(code >= 0xDC00 && code <= 0xDFFF), "unpaired UTF-16 surrogate");
     }
     std::string out;
     if (code < 0x80) {
@@ -438,25 +461,25 @@ class JsonParser {
   JsonValue parse_number() {
     const std::size_t start = pos_;
     if (consume('-')) {}
-    check(pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9',
-          where("expected a value"));
+    require(pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9',
+            "expected a value");
     const std::size_t digits = pos_;
     while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') ++pos_;
-    check(pos_ - digits == 1 || text_[digits] != '0',
-          where("leading zero in number"));  // RFC 8259
+    require(pos_ - digits == 1 || text_[digits] != '0',
+            "leading zero in number");  // RFC 8259
     bool integral = true;
     if (consume('.')) {
       integral = false;
-      check(pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9',
-            where("expected digits after decimal point"));
+      require(pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9',
+              "expected digits after decimal point");
       while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') ++pos_;
     }
     if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
       integral = false;
       ++pos_;
       if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
-      check(pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9',
-            where("expected exponent digits"));
+      require(pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9',
+              "expected exponent digits");
       while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') ++pos_;
     }
     const std::string token(text_.substr(start, pos_ - start));
@@ -471,7 +494,7 @@ class JsonParser {
     }
     char* end = nullptr;
     const double v = std::strtod(token.c_str(), &end);
-    check(end == token.c_str() + token.size(), where("malformed number"));
+    require(end == token.c_str() + token.size(), "malformed number");
     return JsonValue::make_double(v);
   }
 

@@ -56,6 +56,13 @@ class JsonWriter {
   void value(bool flag);
   void null();
 
+  /// Emits `document` — one complete document rendered by a JsonWriter,
+  /// with or without its trailing newline — as the next value, re-indented
+  /// to the current depth. The bytes equal parsing the document and writing
+  /// the parsed value here, because writer output never holds a raw
+  /// newline inside a string; the input is trusted, not validated.
+  void splice(std::string_view document);
+
   /// key() + value() in one call.
   template <typename T>
   void field(std::string_view name, const T& v) {

@@ -63,10 +63,11 @@ const char kUsage[] =
 long long parse_count(const std::string& text, const char* what, long long min_value) {
   srra::check(!text.empty() && text.size() <= 9 &&
                   text.find_first_not_of("0123456789") == std::string::npos,
-              srra::cat("bad ", what, " value: ", text));
+              [&] { return srra::cat("bad ", what, " value: ", text); });
   const long long value = std::atoll(text.c_str());
-  srra::check(value >= min_value,
-              srra::cat("bad ", what, " value: ", text, " (must be >= ", min_value, ")"));
+  srra::check(value >= min_value, [&] {
+    return srra::cat("bad ", what, " value: ", text, " (must be >= ", min_value, ")");
+  });
   return value;
 }
 
@@ -80,7 +81,7 @@ int export_manifest(const std::string& store_dir) {
   srra::check(!store_dir.empty(), "--export-manifest requires --store=DIR");
   srra::service::ResultStore store(store_dir);
   srra::check(!store.open_failed(),
-              srra::cat("cannot open store '", store_dir, "'"));
+              [&] { return srra::cat("cannot open store '", store_dir, "'"); });
   std::cout << "{\n  \"schema\": \"srrad-manifest/v1\",\n  \"entries\": [";
   bool first = true;
   for (const srra::service::StoreEntryInfo& row : store.snapshot()) {
