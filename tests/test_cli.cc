@@ -335,7 +335,12 @@ TEST(Cli, RunJsonEmitsQuerySchema) {
   ASSERT_EQ(infeasible.code, 0) << infeasible.err;
   const JsonValue degenerate = parse_json(infeasible.out);
   EXPECT_FALSE(degenerate.find("feasible")->as_bool());
-  EXPECT_NE(degenerate.find("error"), nullptr);
+  ASSERT_NE(degenerate.find("error"), nullptr);
+  // The bare message: the report's bytes do not depend on the build's
+  // source paths or line numbers.
+  const std::string& error = degenerate.find("error")->as_string();
+  EXPECT_EQ(error.find(".cc:"), std::string::npos) << error;
+  EXPECT_EQ(error.rfind("budget 2 cannot give", 0), 0u) << error;
 }
 
 }  // namespace

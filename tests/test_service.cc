@@ -8,7 +8,11 @@
 //    payloads;
 //  * a corrupt store entry degrades to a miss (recompute), never a crash;
 //  * `srra run --format=json` and a service response's "query" member are
-//    the same bytes (shared serialization in service/proto).
+//    the same bytes (shared serialization in service/proto);
+//  * the spliced envelope equals the DOM round trip it replaced, and a
+//    variant's warm RefModel answers byte-identically to a fresh one;
+//  * payloads entering from disk or a peer are validated before they are
+//    spliced: a mangled body is a miss, never a crash or a forwarded blob.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,8 +26,12 @@
 #include <tuple>
 #include <vector>
 
+#include "core/registry.h"
 #include "dse/cli.h"
+#include "dse/space.h"
+#include "ir/transform.h"
 #include "kernels/kernels.h"
+#include "random_kernel.h"
 #include "service/client.h"
 #include "service/eviction.h"
 #include "service/proto.h"
@@ -833,6 +841,328 @@ TEST(Server, HealthReportsHitRateAndEvictionPolicyCounters) {
             member(health, "store_evictions")->as_int());
   EXPECT_EQ(member(health, "store_evictions")->as_int(), 1);
   EXPECT_EQ(member(health, "index_rebuilds")->as_int(), 0);
+}
+
+// ----------------------------------------------------- splice vs DOM path
+
+// The envelope as make_query_response built it before the splice, kept as
+// the reference: parse the payload into a DOM, set it as the "query"
+// member, render the whole document.
+std::string dom_query_response(const ResponseMeta& meta, const std::string& payload) {
+  JsonValue envelope = JsonValue::make_object();
+  envelope.set("schema", JsonValue::make_string(kServiceSchema));
+  if (!meta.id.empty()) envelope.set("id", JsonValue::make_string(meta.id));
+  envelope.set("ok", JsonValue::make_bool(true));
+  if (!meta.cache_status.empty()) {
+    JsonValue cache = JsonValue::make_object();
+    cache.set("status", JsonValue::make_string(meta.cache_status));
+    cache.set("key", JsonValue::make_string(meta.key));
+    envelope.set("cache", std::move(cache));
+  }
+  if (meta.elapsed_us >= 0) envelope.set("elapsed_us", JsonValue::make_int(meta.elapsed_us));
+  if (!payload.empty()) envelope.set("query", parse_json(payload));
+  return envelope.to_string() + "\n";
+}
+
+// Every envelope shape (id or none, cache line or none, elapsed_us or none).
+void expect_splice_matches_dom(const std::string& payload) {
+  for (const char* id : {"", "a1", "q\"uote\\back \xc3\xa9"}) {
+    for (const char* status : {"", "hit", "miss"}) {
+      for (const std::int64_t elapsed_us : {std::int64_t{-1}, std::int64_t{0}, std::int64_t{1234}}) {
+        ResponseMeta meta;
+        meta.id = id;
+        meta.cache_status = status;
+        meta.key = "0123456789abcdef";
+        meta.elapsed_us = elapsed_us;
+        ASSERT_EQ(make_query_response(meta, payload), dom_query_response(meta, payload))
+            << "payload:\n" << payload;
+      }
+    }
+  }
+}
+
+QueryInput input_for(const RefModel& model, const std::string& name, Algorithm algorithm) {
+  QueryInput input;
+  input.kernel_name = name;
+  input.kernel_hash = structural_hash(model.kernel());
+  input.algorithm = algorithm;
+  return input;
+}
+
+TEST(Splice, EmptyPayloadMeansNoQueryMember) {
+  expect_splice_matches_dom("");
+  ResponseMeta meta;
+  meta.cache_status = "miss";
+  EXPECT_EQ(parse_json(make_query_response(meta, "")).find("query"), nullptr);
+}
+
+TEST(Splice, EqualsDomRoundTripForEveryAlgorithmAndMode) {
+  for (const char* name : {"fir", "example", "mat"}) {
+    const RefModel model(std::move(kernels::find_builtin(name)->kernel));
+    for (const Algorithm algorithm : all_algorithms()) {
+      for (const bool fetch : {true, false}) {
+        QueryInput input = input_for(model, name, algorithm);
+        input.fetch = fetch;
+        for (const std::int64_t budget : {2, 16, 64}) {  // 2 is infeasible
+          input.budget = budget;
+          expect_splice_matches_dom(query_payload(evaluate_query(model, input)));
+        }
+        input.frontier = true;
+        for (int points = 1; points <= 8; ++points) {
+          input.budgets.clear();
+          for (int p = 1; p <= points; ++p) input.budgets.push_back(8 * p);
+          expect_splice_matches_dom(query_payload(evaluate_query(model, input)));
+        }
+      }
+    }
+  }
+}
+
+TEST(Splice, EqualsDomRoundTripForHostileErrorText) {
+  QueryReport report;
+  report.kernel_name = "k\"\\\n\t\x01\xc3\xa9\xf0\x9f\x98\x80";
+  report.transforms = "t(1,8)";
+  report.algorithm = "CPA-RA";
+  report.budget = 2;
+  report.feasible = false;
+  for (const char* error : {"", "budget 2 cannot give every reference a register",
+                            "q\"uote \\ back\\slash \n newline \r\t tab \x01\x1f ctrl",
+                            "caf\xc3\xa9 \xf0\x9f\x98\x80 \x7f del", "{\n  \"fake\": 1\n}\n"}) {
+    report.error = error;
+    expect_splice_matches_dom(query_payload(report));
+  }
+}
+
+TEST(Splice, EqualsDomRoundTripOnRandomKernels) {
+  for (int i = 0; i < fuzz_iters(); ++i) {
+    Rng rng(fuzz_seed() + static_cast<std::uint64_t>(i) * 7919 + 5);
+    const RefModel model(srra::testing::random_kernel(rng));
+    for (const Algorithm algorithm : paper_variants()) {
+      QueryInput input = input_for(model, "fuzz", algorithm);
+      input.budget = model.group_count() + rng.uniform(-1, 24);
+      expect_splice_matches_dom(query_payload(evaluate_query(model, input)));
+      input.frontier = true;
+      input.budgets = {1, 4, 8, 16, 32};
+      expect_splice_matches_dom(query_payload(evaluate_query(model, input)));
+    }
+  }
+}
+
+// ---------------------------------------------------- warm model vs fresh
+
+struct MixQuery {
+  const char* kernel;
+  const char* transforms;
+  const char* algorithm;
+  std::int64_t budget;  ///< 0 = frontier mode over `budgets`
+  const char* budgets;
+  bool fetch;
+};
+
+std::string mix_request(const MixQuery& q) {
+  JsonValue request = JsonValue::make_object();
+  request.set("kernel", JsonValue::make_string(q.kernel));
+  request.set("transforms", JsonValue::make_string(q.transforms));
+  request.set("algorithm", JsonValue::make_string(q.algorithm));
+  if (q.budget > 0) {
+    request.set("budget", JsonValue::make_int(q.budget));
+  } else {
+    request.set("mode", JsonValue::make_string("frontier"));
+    request.set("budgets", JsonValue::make_string(q.budgets));
+  }
+  request.set("fetch", JsonValue::make_bool(q.fetch));
+  return request.to_string();
+}
+
+// The query object a fresh model answers: `srra run --format=json` for a
+// budget, evaluate_query on a new RefModel for a frontier.
+std::string fresh_answer(const MixQuery& q) {
+  if (q.budget > 0) {
+    std::vector<std::string> args = {"run", cat("--kernel=", q.kernel),
+                                     cat("--algos=", q.algorithm), cat("--budget=", q.budget),
+                                     q.fetch ? "--fetch=on" : "--fetch=off", "--format=json"};
+    if (*q.transforms != '\0') args.push_back(cat("--transforms=", q.transforms));
+    std::ostringstream out, err;
+    EXPECT_EQ(srra::dse::run_cli(args, out, err), 0) << err.str();
+    return out.str();
+  }
+  kernels::NamedKernel builtin = *kernels::find_builtin(q.kernel);
+  const std::vector<LoopTransform> sequence = parse_transforms(q.transforms);
+  Kernel kernel = sequence.empty()
+                      ? std::move(builtin.kernel)
+                      : transform_for_pipeline(builtin.kernel, srra::span<const LoopTransform>(
+                                                                   sequence.data(), sequence.size()));
+  const RefModel model(std::move(kernel));
+  QueryInput input = input_for(model, builtin.name, parse_algorithm(q.algorithm));
+  input.transforms = q.transforms;
+  input.fetch = q.fetch;
+  input.frontier = true;
+  input.budgets = dse::parse_budget_spec(q.budgets);
+  return query_payload(evaluate_query(model, input));
+}
+
+TEST(Server, WarmModelsAnswerLikeFreshOnes) {
+  const std::vector<MixQuery> mix = {
+      {"fir", "", "cpa", 32, "", true},        {"fir", "", "fr", 32, "", true},
+      {"fir", "", "ks", 48, "", false},        {"fir", "", "pr", 0, "8:64:8", true},
+      {"mat", "", "cpa", 16, "", true},        {"mat", "", "fr", 0, "8:32", false},
+      {"mat", "i(1,0,2)", "pr", 24, "", true}, {"mat", "i(1,0,2)", "ls", 64, "", true},
+      {"imi", "", "ks", 0, "8:64:8", true},    {"imi", "", "cpa", 40, "", false},
+      {"bic", "", "fr", 2, "", true},          {"bic", "", "pr", 24, "", true},
+      {"fir", "t(1,8)", "cpa", 64, "", true},  {"fir", "t(1,8)", "fr", 16, "", true},
+  };
+  ServerOptions options;
+  options.jobs = 2;
+  Server forward(options);
+  Server backward(options);
+  std::vector<std::string> forward_answers(mix.size());
+  std::vector<std::string> backward_answers(mix.size());
+  // Batches of three, so each variant's model serves several batches.
+  for (std::size_t start = 0; start < mix.size(); start += 3) {
+    std::vector<std::string> batch;
+    std::vector<std::string> reversed;
+    const std::size_t end = std::min(mix.size(), start + 3);
+    for (std::size_t i = start; i < end; ++i) {
+      batch.push_back(mix_request(mix[i]));
+      reversed.push_back(mix_request(mix[mix.size() - 1 - i]));
+    }
+    const std::vector<std::string> a = forward.handle_batch(batch);
+    const std::vector<std::string> b = backward.handle_batch(reversed);
+    for (std::size_t i = start; i < end; ++i) {
+      forward_answers[i] = a[i - start];
+      backward_answers[mix.size() - 1 - i] = b[i - start];
+    }
+  }
+  EXPECT_LT(forward.stats().model_builds, static_cast<std::int64_t>(forward.stats().computed));
+  for (std::size_t i = 0; i < mix.size(); ++i) {
+    const std::string expected = fresh_answer(mix[i]);
+    EXPECT_EQ(member(parse_json(forward_answers[i]), "query")->to_string() + "\n", expected)
+        << mix_request(mix[i]);
+    EXPECT_EQ(member(parse_json(backward_answers[i]), "query")->to_string() + "\n", expected)
+        << mix_request(mix[i]);
+  }
+}
+
+// ------------------------------------------------------ model lifetime
+
+std::int64_t health_member(Server& server, const char* name) {
+  const JsonValue doc = parse_json(server.handle(R"({"op": "health"})"));
+  return member(*member(doc, "health"), name)->as_int();
+}
+
+TEST(Server, OneModelPerVariantAcrossBatches) {
+  Server server(ServerOptions{});
+  server.handle_batch({query("fir", "cpa", 32), query("fir", "fr", 48)});
+  server.handle_batch({query("fir", "pr", 16), query("fir", "ks", 64)});
+  EXPECT_EQ(server.stats().computed, 4);
+  EXPECT_EQ(health_member(server, "model_builds"), 1);
+  EXPECT_EQ(health_member(server, "models"), 1);
+  server.handle(query("mat", "cpa", 32));
+  EXPECT_EQ(health_member(server, "model_builds"), 2);
+  EXPECT_EQ(health_member(server, "models"), 2);
+}
+
+TEST(Server, TrimmingTheVariantMemoFreesAndRebuildsModels) {
+  // 513 distinct inline kernels in one batch: the memo then holds more
+  // than its 512 entries, so the next batch starts by clearing it.
+  const auto tiny = [](int i) {
+    return cat(R"({"kernel": "kernel v)", i,
+               R"( {\n array x[11] : s32;\n array c[4] : s32;\n array y[8] : s32;\n)",
+               R"( for i in 0..8 {\n for j in 0..4 {\n y[i] += c[j] * x[i + j];\n }\n }\n}",)",
+               R"( "algorithm": "cpa", "budget": 8})");
+  };
+  Server server(ServerOptions{});
+  std::vector<std::string> batch;
+  for (int i = 0; i < 513; ++i) batch.push_back(tiny(i));
+  for (const std::string& response : server.handle_batch(batch)) {
+    ASSERT_TRUE(member(parse_json(response), "ok")->as_bool()) << response;
+  }
+  EXPECT_EQ(server.stats().model_builds, 513);
+  EXPECT_EQ(health_member(server, "models"), 0);  // cleared before the health batch
+  std::string again = tiny(0);
+  again.replace(again.find("\"budget\": 8"), 11, "\"budget\": 9");
+  EXPECT_EQ(cache_status(server.handle(again)), "miss");
+  EXPECT_EQ(server.stats().model_builds, 514);  // rebuilt, not reused
+  EXPECT_EQ(health_member(server, "models"), 1);
+}
+
+// ------------------------------------------------ payload validation
+
+TEST(Server, MangledStoreBodyOfTheSameLengthIsAMiss) {
+  const std::string dir = fresh_store("server_mangled");
+  std::string cold_query;
+  std::string key;
+  {
+    ServerOptions options;
+    options.store_dir = dir;
+    Server server(options);
+    const std::string response = server.handle(query("fir", "cpa", 32));
+    cold_query = member(parse_json(response), "query")->to_string();
+    key = cache_key_of(response);
+  }
+  const fs::path entry = fs::path(dir) / ("k" + key + ".entry");
+  std::string bytes;
+  {
+    std::ifstream in(entry, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  const std::size_t body = bytes.find('\n') + 1;
+  ASSERT_EQ(bytes[body], '{');
+  bytes[body] = '#';  // header and length intact: only the body is wrong
+  std::ofstream(entry, std::ios::binary | std::ios::trunc) << bytes << std::flush;
+
+  ServerOptions options;
+  options.store_dir = dir;
+  Server server(options);
+  const std::string response = server.handle(query("fir", "cpa", 32));
+  EXPECT_EQ(cache_status(response), "miss");
+  EXPECT_EQ(member(parse_json(response), "query")->to_string(), cold_query);
+  EXPECT_EQ(server.store().corrupt_dropped(), 1);
+  EXPECT_EQ(server.stats().computed, 1);
+  EXPECT_EQ(health_member(server, "store_corrupt_dropped"), 1);
+  // The daemon keeps serving, and the recomputed entry is a hit.
+  EXPECT_EQ(cache_status(server.handle(query("fir", "cpa", 32))), "hit");
+  EXPECT_EQ(cache_status(server.handle(query("mat", "cpa", 32))), "miss");
+}
+
+TEST(Server, WarmFromPeerSkipsPayloadsThatAreNotJson) {
+  const std::string dir = fresh_store("warm_not_json");
+  fs::create_directories(dir);
+  const std::string path = dir + "/peer.sock";
+
+  ServerOptions peer_options;
+  peer_options.store_dir = dir + "/store-a";
+  Server peer(peer_options);
+  const std::string good_key = cache_key_of(peer.handle(query("fir", "cpa", 64)));
+  const std::string bad_key = "0123456789abcdef";
+  ASSERT_TRUE(peer.store().put(bad_key, "#not json, but its hash is consistent", 1000));
+  std::thread daemon([&] { peer.serve_unix(path); });
+
+  ServerOptions cold_options;
+  cold_options.store_dir = dir + "/store-b";
+  Server cold(cold_options);
+  EXPECT_EQ(warm_when_listening(cold, path), 1);
+  EXPECT_EQ(cold.store().entries(), 1);
+  EXPECT_TRUE(cold.store().get(good_key).has_value());
+  EXPECT_FALSE(cold.store().get(bad_key).has_value());
+  const std::string probe = cold.handle(
+      cat(R"({"key": ")", bad_key, R"(", "probe": true})"));
+  EXPECT_EQ(cache_status(probe), "miss");
+  EXPECT_EQ(parse_json(probe).find("query"), nullptr);
+
+  Client shutdown_client = Client::connect_unix(path);
+  shutdown_client.roundtrip(R"({"op": "shutdown"})");
+  daemon.join();
+}
+
+TEST(Server, InfeasiblePayloadCarriesTheBareMessage) {
+  Server server(ServerOptions{});
+  const JsonValue doc = parse_json(server.handle(query("bic", "pr", 2)));
+  const JsonValue& payload = *member(doc, "query");
+  EXPECT_FALSE(member(payload, "feasible")->as_bool());
+  const std::string& error = member(payload, "error")->as_string();
+  EXPECT_EQ(error.find(".cc:"), std::string::npos) << error;
+  EXPECT_EQ(error, "budget 2 cannot give every of the 3 references its feasibility register");
 }
 
 }  // namespace
