@@ -43,19 +43,12 @@ std::string join_int64(const std::vector<std::int64_t>& values) {
 
 // (kernel text, transform encoding) resolved once and memoized across
 // batches: display name, canonical transforms, the transformed kernel and
-// its structural hash — everything the cache key and a compute job need —
-// plus the variant's RefModel, built by its first compute job and kept
-// until the memo is trimmed. One batch runs all of a variant's jobs on one
-// lane, and batches are ordered by the pool's barrier, so no two lanes
-// ever build or share it at once; every memoized value in a RefModel is a
-// function of its key, so a warm model answers the same bytes as a fresh
-// one.
+// its structural hash — everything the cache key and a compute job need.
 struct Server::ResolvedVariant {
   std::string display_name;
   std::string transforms;  ///< canonical encoding ("" = none)
   std::uint64_t hash = 0;
   Kernel kernel;  ///< transformed
-  std::unique_ptr<const RefModel> model;  ///< null until the first compute job
 };
 
 // Per-request batch state.
@@ -63,7 +56,7 @@ struct Server::Slot {
   Request request;
   bool ok = false;     ///< parsed and (for queries) resolved
   std::string error;   ///< parse/resolve diagnostic when !ok
-  ResolvedVariant* variant = nullptr;  ///< null for key-only probes
+  const ResolvedVariant* variant = nullptr;  ///< null for key-only probes
   Algorithm algorithm = Algorithm::kCpaRa;
   std::string algorithm_display;
   std::vector<std::int64_t> budgets;  ///< frontier-mode canonical axis
@@ -158,10 +151,6 @@ std::string Server::health_response(const std::string& id) {
   health.set("errors", JsonValue::make_int(stats_.errors));
   health.set("deadline_closes", JsonValue::make_int(stats_.deadline_closes));
   health.set("fault_plan", JsonValue::make_bool(faultio::plan_installed()));
-  health.set("model_builds", JsonValue::make_int(stats_.model_builds));
-  health.set("models", JsonValue::make_int(static_cast<std::int64_t>(std::count_if(
-                           variants_.begin(), variants_.end(),
-                           [](const auto& entry) { return entry.second->model != nullptr; }))));
   return make_value_response(id, "health", health);
 }
 
@@ -299,8 +288,8 @@ int Server::warm_from_peer(const std::string& endpoint) {
   return adopted;
 }
 
-Server::ResolvedVariant& Server::resolve_variant(const std::string& kernel_field,
-                                                 const std::string& transforms) {
+const Server::ResolvedVariant& Server::resolve_variant(const std::string& kernel_field,
+                                                       const std::string& transforms) {
   const std::string memo_key = cat(kernel_field, '\x1f', transforms);
   const auto it = variants_.find(memo_key);
   if (it != variants_.end()) return *it->second;
@@ -336,7 +325,7 @@ Server::ResolvedVariant& Server::resolve_variant(const std::string& kernel_field
   }
   variant->hash = structural_hash(variant->kernel);
 
-  ResolvedVariant& ref = *variant;
+  const ResolvedVariant& ref = *variant;
   variants_.emplace(memo_key, std::move(variant));
   return ref;
 }
@@ -359,8 +348,8 @@ std::vector<std::string> Server::handle_batch(const std::vector<std::string>& re
   const auto t0 = std::chrono::steady_clock::now();
 
   // The variant memo hands out stable pointers for the duration of one
-  // batch; trim it only between batches. Its models go with it.
-  if (variants_.size() > kMaxVariants) variants_.clear();
+  // batch; trim it only between batches.
+  if (variants_.size() > 512) variants_.clear();
 
   // Phase 1 — parse, resolve and key every request (serial; kernel
   // resolution is memoized, so repeated texts cost one lookup).
@@ -378,7 +367,7 @@ std::vector<std::string> Server::handle_batch(const std::vector<std::string>& re
         slot.ok = true;
         continue;
       }
-      ResolvedVariant& variant =
+      const ResolvedVariant& variant =
           resolve_variant(slot.request.kernel, slot.request.transforms);
       slot.variant = &variant;
       slot.algorithm = parse_algorithm(slot.request.algorithm);
@@ -443,22 +432,16 @@ std::vector<std::string> Server::handle_batch(const std::vector<std::string>& re
   }
 
   // Phase 3 — compute unique jobs on the pool, grouped by kernel variant:
-  // jobs of one variant share the variant's RefModel (and therefore one
-  // analysis pass, for this batch and every later one), exactly like
-  // dse/explore's per-variant sharding. Each job writes only its own slot,
-  // so results are identical for any lane count.
+  // jobs of one variant share one RefModel (and therefore one analysis
+  // pass), exactly like dse/explore's per-variant sharding. Each job
+  // writes only its own slot, so results are identical for any lane count.
   std::vector<std::vector<int>> groups;
-  std::vector<ResolvedVariant*> group_variants;
   {
-    std::unordered_map<ResolvedVariant*, std::size_t> group_of;
+    std::unordered_map<const ResolvedVariant*, std::size_t> group_of;
     for (std::size_t j = 0; j < job_slots.size(); ++j) {
-      ResolvedVariant* variant = slots[static_cast<std::size_t>(job_slots[j])].variant;
+      const ResolvedVariant* variant = slots[static_cast<std::size_t>(job_slots[j])].variant;
       const auto [it, inserted] = group_of.emplace(variant, groups.size());
-      if (inserted) {
-        groups.emplace_back();
-        group_variants.push_back(variant);
-        if (variant->model == nullptr) ++stats_.model_builds;
-      }
+      if (inserted) groups.emplace_back();
       groups[it->second].push_back(static_cast<int>(j));
     }
   }
@@ -466,11 +449,10 @@ std::vector<std::string> Server::handle_batch(const std::vector<std::string>& re
   std::vector<std::string> compute_errors(job_slots.size());
   pool_.parallel_for(static_cast<std::int64_t>(groups.size()), [&](std::int64_t g) {
     const std::vector<int>& jobs = groups[static_cast<std::size_t>(g)];
-    ResolvedVariant& variant = *group_variants[static_cast<std::size_t>(g)];
-    if (variant.model == nullptr) {
-      variant.model = std::make_unique<const RefModel>(variant.kernel.clone());
-    }
-    const RefModel& model = *variant.model;
+    const ResolvedVariant& variant =
+        *slots[static_cast<std::size_t>(job_slots[static_cast<std::size_t>(jobs.front())])]
+             .variant;
+    const RefModel model(variant.kernel.clone());
     for (const int j : jobs) {
       const Slot& slot = slots[static_cast<std::size_t>(job_slots[static_cast<std::size_t>(j)])];
       try {

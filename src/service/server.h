@@ -8,9 +8,8 @@
 // thundering herd of identical queries computes once and every duplicate
 // reports the same cache status ("miss" when the key was absent, "hit" when
 // present). Compute jobs that share a kernel variant also share one
-// RefModel, kept with the variant's memo entry across batches, so a variant
-// pays for its analysis once while it stays resident (the dse/explore
-// sharding idea, applied across requests and batches).
+// RefModel, so a batch mixing algorithms/budgets of one kernel pays for its
+// analysis once (the dse/explore sharding idea, applied across requests).
 // Responses are therefore byte-identical for any jobs value and any
 // arrival order of the same request multiset against the same starting
 // store (tested in test_service.cc); only the opt-in "timing" field and the
@@ -78,7 +77,6 @@ struct ServerStats {
   std::int64_t store_degraded = 0;      ///< times the breaker opened
   std::int64_t store_probes = 0;        ///< probe puts while degraded
   std::int64_t deadline_closes = 0;     ///< connections closed by deadline
-  std::int64_t model_builds = 0;        ///< RefModels built since start
 };
 
 class Server {
@@ -140,8 +138,8 @@ class Server {
     CacheMeta meta;
   };
 
-  ResolvedVariant& resolve_variant(const std::string& kernel_field,
-                                   const std::string& transforms);
+  const ResolvedVariant& resolve_variant(const std::string& kernel_field,
+                                         const std::string& transforms);
   void cache_insert(const std::string& key, const std::string& payload,
                     std::int64_t cost);
   /// Store read honoring the health state machine (degraded = skip).
@@ -170,9 +168,6 @@ class Server {
   std::unordered_map<std::string, MemEntry> memory_cache_;
   std::int64_t memory_tick_ = 0;  ///< LRU clock; an entry's seq is its first tick
 
-  /// Resolved variants and their models, cleared between batches once it
-  /// holds more than kMaxVariants entries.
-  static constexpr std::size_t kMaxVariants = 512;
   std::unordered_map<std::string, std::unique_ptr<ResolvedVariant>> variants_;
 };
 

@@ -81,7 +81,8 @@ using MessageMaker =
 
 /// Checks a precondition/invariant; throws srra::Error with location info on
 /// failure. Used instead of assert() so violations are testable and carry a
-/// message even in release builds.
+/// message even in release builds. (A literal binds here rather than to the
+/// deleted std::string&& overload below.)
 inline void check(bool condition, const char* message,
                   SourceLocation where = SourceLocation::current()) {
   if (!condition) detail::throw_error(message, where);
