@@ -336,7 +336,7 @@ std::string make_query_response(const ResponseMeta& meta, const std::string& pay
   if (meta.elapsed_us >= 0) json.field("elapsed_us", meta.elapsed_us);
   if (!payload.empty()) {
     json.key("query");
-    json.splice(payload);  // JsonWriter output, computed here or validated on entry
+    json.splice(payload);  // computed in process, or validated where it entered
   }
   json.end_object();
   return os.str();
