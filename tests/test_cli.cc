@@ -1,8 +1,9 @@
 // In-process tests for the `srra` CLI (src/dse/cli.h — tools/srra_cli.cc
 // is only the process shell). Pins the acceptance contract: `srra run`
 // table output for the paper kernels at budget 64 equals the
-// run_paper_variants (Table 1) rows, `srra sweep` reproduces Figure 2(c)'s
-// 1800/1560/1184 row, and reports are byte-identical across --jobs values.
+// run_paper_variants (Table 1) rows and tests/golden/srra_run_table1.txt,
+// `srra sweep` reproduces Figure 2(c)'s 1800/1560/1184 row, and reports
+// are byte-identical across --jobs values.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -15,6 +16,7 @@
 #include "dse/report.h"
 #include "kernels/kernels.h"
 #include "support/json.h"
+#include "support/str.h"
 
 namespace {
 
@@ -36,6 +38,16 @@ CliResult run(std::vector<std::string> args) {
   return result;
 }
 
+// Reads one committed golden report (tests/golden/).
+std::string golden(const std::string& name) {
+  const std::string path = std::string(SRRA_GOLDEN_DIR) + "/" + name;
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
 // CLI spelling of a built-in kernel name ("Dec-FIR" -> "dec_fir").
 std::string cli_name(const std::string& name) {
   std::string key;
@@ -47,18 +59,45 @@ std::string cli_name(const std::string& name) {
 
 // The acceptance criterion: for every paper kernel, `srra run` at the
 // default budget 64 must render exactly the Table-1 rows that
-// run_paper_variants produces.
+// run_paper_variants produces, and the six blocks plus the paper's
+// averages vs v1 must equal the committed Table 1 reproduction.
 TEST(Cli, RunMatchesRunPaperVariantsAtBudget64) {
-  for (const kernels::NamedKernel& nk : kernels::table1_kernels()) {
+  std::ostringstream table1;
+  double v2_cycle_gain = 0.0, v3_cycle_gain = 0.0;
+  double v2_wall_gain = 0.0, v3_wall_gain = 0.0, v3_clock_loss = 0.0;
+  const std::vector<kernels::NamedKernel> paper = kernels::table1_kernels();
+  for (const kernels::NamedKernel& nk : paper) {
     const CliResult cli = run({"run", "--kernel=" + cli_name(nk.name)});
     ASSERT_EQ(cli.code, 0) << cli.err;
 
     const RefModel model(nk.kernel.clone());
+    const std::vector<DesignPoint> points = run_paper_variants(model);
     std::ostringstream expected;
     expected << nk.name << " at budget 64 (Virtex XCV1000 model; see DESIGN.md §4-6)\n\n";
-    dse::write_design_table(expected, nk.name, model, run_paper_variants(model));
+    dse::write_design_table(expected, nk.name, model, points);
     EXPECT_EQ(cli.out, expected.str()) << nk.name;
+    table1 << cli.out << "\n";
+
+    const DesignPoint& v1 = points[0];
+    const DesignPoint& v2 = points[1];
+    const DesignPoint& v3 = points[2];
+    const auto cycles = [](const DesignPoint& p) {
+      return static_cast<double>(p.cycles.exec_cycles);
+    };
+    v2_cycle_gain += 1.0 - cycles(v2) / cycles(v1);
+    v3_cycle_gain += 1.0 - cycles(v3) / cycles(v1);
+    v2_wall_gain += 1.0 - v2.time_us() / v1.time_us();
+    v3_wall_gain += 1.0 - v3.time_us() / v1.time_us();
+    v3_clock_loss += v3.hw.clock_ns / v1.hw.clock_ns - 1.0;
   }
+  const double n = static_cast<double>(paper.size());
+  table1 << "Averages vs v1 (paper reports the same aggregates):\n"
+         << "  v2 cycle reduction: " << to_percent(v2_cycle_gain / n)
+         << "   v2 wall-clock gain: " << to_percent(v2_wall_gain / n) << "\n"
+         << "  v3 cycle reduction: " << to_percent(v3_cycle_gain / n)
+         << "   v3 wall-clock gain: " << to_percent(v3_wall_gain / n)
+         << "   v3 clock-rate loss: " << to_percent(v3_clock_loss / n) << "\n";
+  EXPECT_EQ(table1.str(), golden("srra_run_table1.txt"));
 }
 
 TEST(Cli, SweepReproducesFigure2cRow) {
@@ -129,16 +168,6 @@ TEST(Cli, InterchangeAndFetchAxes) {
   // 6 loop orders x 2 fetch modes x 3 algorithms x 1 budget.
   EXPECT_NE(cli.out.find("6 variant(s), 36 point(s)"), std::string::npos) << cli.out;
   EXPECT_NE(cli.out.find("serial"), std::string::npos);
-}
-
-// Reads one committed golden report (tests/golden/).
-std::string golden(const std::string& name) {
-  const std::string path = std::string(SRRA_GOLDEN_DIR) + "/" + name;
-  std::ifstream in(path);
-  EXPECT_TRUE(in.good()) << path;
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
 }
 
 // The legacy-parity acceptance criterion: --interchange sweeps must stay
