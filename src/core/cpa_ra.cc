@@ -18,18 +18,6 @@ std::int64_t cut_requirement(const RefModel& model, const Allocation& a,
   return req;
 }
 
-// Steady accesses the cut would still eliminate, for the kMaxSavedPerReg
-// ablation strategy.
-std::int64_t cut_saving(const RefModel& model, const Allocation& a,
-                        const std::vector<int>& cut) {
-  std::int64_t saving = 0;
-  for (int g : cut) {
-    saving += model.accesses(g, a.regs[static_cast<std::size_t>(g)], CountMode::kSteady) -
-              model.accesses(g, model.beta_full(g), CountMode::kSteady);
-  }
-  return saving;
-}
-
 int first_order_key(const RefModel& model, const std::vector<int>& cut) {
   int best = std::numeric_limits<int>::max();
   for (int g : cut) {
@@ -82,7 +70,8 @@ Allocation allocate_cpa_traced(const RefModel& model, std::int64_t budget,
     }
     const std::vector<std::vector<int>> group_cuts(group_cut_set.begin(), group_cut_set.end());
 
-    // Pick the cut per strategy.
+    // Pick the cut with the minimum incremental register requirement; ties
+    // go to the smaller cut, then to the cut holding the earliest reference.
     const std::vector<int>* best = nullptr;
     for (const auto& cut : group_cuts) {
       if (best == nullptr) {
@@ -91,30 +80,12 @@ Allocation allocate_cpa_traced(const RefModel& model, std::int64_t budget,
       }
       const std::int64_t req_c = cut_requirement(model, a, cut);
       const std::int64_t req_b = cut_requirement(model, a, *best);
-      bool better = false;
-      switch (options.strategy) {
-        case CutStrategy::kMinRegisters:
-          better = req_c < req_b ||
-                   (req_c == req_b && (cut.size() < best->size() ||
-                                       (cut.size() == best->size() &&
-                                        first_order_key(model, cut) <
-                                            first_order_key(model, *best))));
-          break;
-        case CutStrategy::kMaxSavedPerReg: {
-          const double gain_c =
-              req_c > 0 ? static_cast<double>(cut_saving(model, a, cut)) / static_cast<double>(req_c)
-                        : 0.0;
-          const double gain_b =
-              req_b > 0 ? static_cast<double>(cut_saving(model, a, *best)) / static_cast<double>(req_b)
-                        : 0.0;
-          better = gain_c > gain_b || (gain_c == gain_b && req_c < req_b);
-          break;
-        }
-        case CutStrategy::kFewestMembers:
-          better = cut.size() < best->size() ||
-                   (cut.size() == best->size() && req_c < req_b);
-          break;
-      }
+      const bool better =
+          req_c < req_b ||
+          (req_c == req_b &&
+           (cut.size() < best->size() ||
+            (cut.size() == best->size() &&
+             first_order_key(model, cut) < first_order_key(model, *best))));
       if (better) best = &cut;
     }
     check(best != nullptr, "cut selection failed");

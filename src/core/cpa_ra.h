@@ -20,16 +20,8 @@
 
 namespace srra {
 
-/// Cut selection policy (paper: kMinRegisters; others are ablations).
-enum class CutStrategy {
-  kMinRegisters,     ///< minimum incremental register requirement (paper)
-  kMaxSavedPerReg,   ///< maximum eliminated accesses per register
-  kFewestMembers,    ///< smallest cut first
-};
-
 /// Tuning knobs for CPA-RA.
 struct CpaOptions {
-  CutStrategy strategy = CutStrategy::kMinRegisters;
   LatencyModel latency;
   CutOptions cuts;
   int max_rounds = 64;  ///< defensive bound on allocation rounds
@@ -39,8 +31,8 @@ struct CpaOptions {
 Allocation allocate_cpa(const RefModel& model, std::int64_t budget,
                         const CpaOptions& options = {});
 
-/// One round's diagnostic record (exposed for tests, benches and the
-/// figure-2 demo).
+/// One round's diagnostic record (read by the all-budget frontier and by
+/// the Figure 2(c) cut tests).
 struct CpaRound {
   std::int64_t cp_length = 0;
   std::vector<std::vector<int>> cut_groups;  ///< all candidate cuts (group ids)

@@ -22,8 +22,7 @@
 // after the model's structural analysis, a fraction of both the greedy
 // allocators (which pay the access-count passes behind bc_ratio) and the
 // O(G*B^2) DP. Quality sits within a few percent of the greedy allocators
-// on the paper kernels (pinned in tests/test_allocators.cc and measured in
-// bench_allocators); this is the latency-sensitive path of ROADMAP item 1.
+// on the paper kernels (pinned in tests/test_allocators.cc).
 #pragma once
 
 #include <cstdint>

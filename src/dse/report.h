@@ -31,9 +31,9 @@ void write_points_report(std::ostream& os, const ExploreResult& result, Format f
 /// slices-vs-time_us Pareto frontiers, then the best-per-budget table.
 void write_pareto_report(std::ostream& os, const ExploreResult& result, Format format);
 
-/// Table-1-style block for one kernel: one row per design point with the
-/// exact cell formatting of bench_table1 (Required S.R., distribution,
-/// cycles, dCyc/speedup vs the first point, clock, time, slices, RAMs).
+/// Table-1-style block for one kernel: one row per design point (Required
+/// S.R., distribution, cycles, dCyc/speedup vs the first point, clock,
+/// time, slices, RAMs), as tests/golden/srra_run_table1.txt pins it.
 void write_design_table(std::ostream& os, const std::string& kernel_name,
                         const RefModel& model, const std::vector<DesignPoint>& points);
 

@@ -6,7 +6,7 @@
 //  * Interchange{perm} — permutes the loops (new level l holds source level
 //    perm[l]), remapping every affine subscript and loop-variable
 //    expression. Reuse-carrying levels move with it, which changes every
-//    allocator's behaviour — exercised by bench_transforms.
+//    allocator's behaviour (`srra sweep --interchange` shows it).
 //  * Tile{level, size} — strip-mines loop `level` into a tile loop `vt`
 //    (same bounds, step scaled by `size`) and a point loop `vi`
 //    (0..step*size by step) inserted directly below, with v = vt + vi.

@@ -1,9 +1,9 @@
 // Blocking srrad client connection: one socket, frames out, frames in.
-// Used by the `srra client` subcommand, bench_service's load threads and
-// test_service.cc / test_fault.cc. For pipe mode there is no connection
-// object — clients write request frames to srrad's stdin and read response
-// frames from its stdout (`srra client --emit` / `--decode` produce and
-// consume exactly those byte streams).
+// Used by the `srra client` subcommand, `srrad --warm-from`, perfbench's
+// load threads and test_service.cc / test_fault.cc. For pipe mode there is
+// no connection object — clients write request frames to srrad's stdin and
+// read response frames from its stdout (`srra client --emit` / `--decode`
+// produce and consume exactly those byte streams).
 //
 // Robustness (DESIGN.md §14): connects, sends and receives all carry
 // deadlines, and roundtrips retry with deterministic exponential backoff

@@ -361,13 +361,11 @@ TEST(Explore, ReportsAreByteIdenticalAcrossJobs) {
   }
 }
 
-// ---- The headline transform result (pinned; demonstrated in
-// bench_transforms) ----
+// ---- The headline transform result (pinned) ----
 
 TEST(Explore, TiledMatVariantDominatesEveryUntiledPoint) {
-  // MAT, the sweep bench_transforms reports: budgets {8,16,32,64}, every
-  // legal interchange order, tile sizes {4,8}, unroll factor 2, the paper's
-  // three allocators. Some tiled/unroll-jammed variant's (registers, Texec)
+  // MAT over budgets {8,16,32,64}, every legal interchange order, tile
+  // sizes {4,8}, unroll factor 2, the paper's three allocators. Some tiled/unroll-jammed variant's (registers, Texec)
   // point must strictly dominate the best untiled point — and dominate the
   // best point of *every* untiled loop order — or the transform axis has
   // regressed.

@@ -170,6 +170,31 @@ TEST(Prune, StatsPartitionExactlyWithAndWithoutCap) {
   }
 }
 
+// Coverage: on a two-deep tile space (23 sizes from 2 to 32, unroll
+// {2,3,4,6,8}) every Table-1 kernel generates at least 6,400 candidates,
+// 100x the 64-variant cap of the exhaustive sweep the guided search
+// replaced, while a cap of 16 keeps what it evaluates small.
+TEST(Prune, GeneratesAHundredfoldSpacePerTable1Kernel) {
+  ExploreOptions options;
+  PruneOptions prune;
+  prune.wave = 8;
+  prune.max_evaluated_per_kernel = 16;
+  for (kernels::NamedKernel& nk : kernels::table1_kernels()) {
+    AxisSpec axes;
+    axes.kernels.push_back({nk.name, std::move(nk.kernel)});
+    axes.budgets = {8, 16, 32, 64};
+    axes.transforms.interchange = true;
+    axes.transforms.tile_sizes = {2,  3,  4,  5,  6,  7,  8,  9,  10, 11, 12, 13,
+                                  14, 15, 16, 18, 20, 22, 24, 26, 28, 30, 32};
+    axes.transforms.tile_depth = 2;
+    axes.transforms.unroll_factors = {2, 3, 4, 6, 8};
+    const dse::SpaceStats s =
+        dse::explore_guided(std::move(axes), options, prune).space.stats;
+    EXPECT_GE(s.variants_generated, 6400) << nk.name;
+    EXPECT_LE(s.variants_evaluated, 16) << nk.name;
+  }
+}
+
 // ---- Rounds across kernels ----
 //
 // explore_guided evaluates wave r of every kernel in one explore call, then
