@@ -144,7 +144,7 @@ ExploreResult explore(EnumeratedSpace space, const ExploreOptions& options) {
         out.design = combine_pieces(std::move(pieces));
         out.feasible = true;
       } catch (const Error& e) {
-        out.error = e.what();
+        out.error = e.message();
       }
     }
     // Every other shard's use of the analysis happens before the last

@@ -93,7 +93,7 @@ Request parse_request(const std::string& payload) {
   try {
     doc = parse_json(payload);
   } catch (const Error& e) {
-    fail(cat("request is not valid JSON: ", e.what()));
+    fail(cat("request is not valid JSON: ", e.message()));
   }
   check(doc.is_object(), "request must be a JSON object");
 

@@ -385,7 +385,7 @@ std::vector<std::string> Server::handle_batch(const std::vector<std::string>& re
       slot.key = cache_key(variant.hash, variant.display_name, canonical);
       slot.ok = true;
     } catch (const Error& e) {
-      slot.error = e.what();
+      slot.error = e.message();
       // Salvage the id for the error response when the document itself was
       // well-formed JSON (validation failures usually are).
       try {
@@ -467,7 +467,7 @@ std::vector<std::string> Server::handle_batch(const std::vector<std::string>& re
         input.budgets = slot.budgets;
         computed[static_cast<std::size_t>(j)] = query_payload(evaluate_query(model, input));
       } catch (const Error& e) {
-        compute_errors[static_cast<std::size_t>(j)] = e.what();
+        compute_errors[static_cast<std::size_t>(j)] = e.message();
       }
     }
   });
@@ -565,7 +565,7 @@ int Server::serve_stream(std::istream& in, std::ostream& out) {
     } catch (const Error& e) {
       // Framing is broken — there is no way to resync a length-prefixed
       // stream. Report and exit.
-      write_frame(out, make_error_response("", e.what()));
+      write_frame(out, make_error_response("", std::string(e.message())));
       out.flush();
       return 2;
     }

@@ -370,6 +370,14 @@ TEST(Cli, RunJsonEmitsQuerySchema) {
   const std::string& error = degenerate.find("error")->as_string();
   EXPECT_EQ(error.find(".cc:"), std::string::npos) << error;
   EXPECT_EQ(error.rfind("budget 2 cannot give", 0), 0u) << error;
+
+  // So is a sweep's infeasible point, in its CSV and JSON error text.
+  for (const std::string format : {"csv", "json"}) {
+    const CliResult sweep = run({"sweep", "--kernel=fir", "--budgets=2", "--format=" + format});
+    ASSERT_EQ(sweep.code, 0) << sweep.err;
+    EXPECT_NE(sweep.out.find("budget 2 cannot give"), std::string::npos) << sweep.out;
+    EXPECT_EQ(sweep.out.find(".cc:"), std::string::npos) << sweep.out;
+  }
 }
 
 }  // namespace

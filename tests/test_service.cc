@@ -421,11 +421,13 @@ TEST(Server, ResponsesByteIdenticalAcrossJobsAndArrivalOrder) {
   EXPECT_EQ(by_id(server_shuffled.handle_batch(reversed)), base);
 
   // And the expected statuses: the duplicate reports the batch-start state
-  // (miss), the error request is ok:false.
+  // (miss), the error request is ok:false. Error text is the bare message,
+  // free of the build's source paths and line numbers.
   EXPECT_EQ(cache_status(server_one.handle(query("fir", "cpa", 64))), "hit");
   for (const auto& [id, response] : base) {
     const JsonValue doc = parse_json(response);
     EXPECT_EQ(member(doc, "ok")->as_bool(), id != "h") << response;
+    EXPECT_EQ(response.find(".cc:"), std::string::npos) << response;
   }
 }
 
@@ -600,6 +602,7 @@ TEST(Server, ServeStreamReportsMalformedFraming) {
   const std::optional<std::string> error_frame = read_frame(outs);
   ASSERT_TRUE(error_frame.has_value());
   EXPECT_FALSE(member(parse_json(*error_frame), "ok")->as_bool());
+  EXPECT_EQ(error_frame->find(".cc:"), std::string::npos) << *error_frame;
 }
 
 TEST(Server, UnixSocketEndToEnd) {
