@@ -39,6 +39,19 @@ std::string join_int64(const std::vector<std::int64_t>& values) {
   return out;
 }
 
+// Reads `key` from `store`. Responses and pull pages splice payloads
+// unparsed, so bytes from disk are checked here, where they enter: a body
+// mangled in place is dropped as corrupt and reads as a miss.
+std::optional<std::string> get_valid(ResultStore& store, const std::string& key,
+                                     std::int64_t* cost_out = nullptr) {
+  std::optional<std::string> payload = store.get(key, cost_out);
+  if (payload.has_value() && !valid_query_payload(*payload)) {
+    store.drop_corrupt(key);
+    return std::nullopt;
+  }
+  return payload;
+}
+
 }  // namespace
 
 // (kernel text, transform encoding) resolved once and memoized across
@@ -81,14 +94,7 @@ std::optional<std::string> Server::store_get(const std::string& key,
   // Compute-only mode skips reads too: a disk that fails writes is not a
   // disk to trust for reads, and every skipped call is latency saved.
   if (store_mode_ != StoreMode::kOk) return std::nullopt;
-  std::optional<std::string> payload = store_.get(key, cost_out);
-  // Responses splice payloads unparsed, so bytes from disk are checked
-  // here, where they enter: a body mangled in place degrades to a miss.
-  if (payload.has_value() && !valid_query_payload(*payload)) {
-    store_.drop_corrupt(key);
-    return std::nullopt;
-  }
-  return payload;
+  return get_valid(store_, key, cost_out);
 }
 
 void Server::store_put(const std::string& key, const std::string& payload,
@@ -185,8 +191,8 @@ std::string Server::pull_response(const Request& request) {
     // Always make progress: the first entry of a page ignores the byte cap.
     if (emitted > 0 && page_bytes + rows[i].bytes > kMaxPullBytes) break;
     ++consumed;
-    std::optional<std::string> payload = store_.get(rows[i].key);
-    if (!payload.has_value()) continue;  // evicted or corrupt since snapshot
+    std::optional<std::string> payload = get_valid(store_, rows[i].key);
+    if (!payload.has_value()) continue;  // evicted or corrupt
     JsonValue entry = JsonValue::make_object();
     entry.set("key", JsonValue::make_string(rows[i].key));
     entry.set("cost", JsonValue::make_int(rows[i].cost));

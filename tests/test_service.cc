@@ -723,7 +723,7 @@ TEST(Server, PullOpPagesStoredEntriesBestScoreFirst) {
   // eviction order with recency left out, the order a restarted peer keeps.
   const std::string older(16, '0');  // key order would put it first
   const std::string newer(16, 'f');
-  const std::string payload(8, 'p');  // score 100/8 tops all three queries
+  const std::string payload = R"({"p": 1})";  // score 100/8 tops all three queries
   ASSERT_TRUE(server.store().put(older, payload, /*cost=*/100));
   ASSERT_TRUE(server.store().put(newer, payload, /*cost=*/100));
   const JsonValue tied = parse_json(server.handle(R"({"op": "pull", "limit": 2})"));
@@ -1121,6 +1121,14 @@ TEST(Server, WarmFromPeerSkipsPayloadsThatAreNotJson) {
   Client shutdown_client = Client::connect_unix(path);
   shutdown_client.roundtrip(R"({"op": "shutdown"})");
   daemon.join();
+
+  // The peer checks what it offers too: the pull that read the mangled
+  // body dropped it as corrupt, so no page carries it.
+  EXPECT_EQ(health_member(peer, "store_corrupt_dropped"), 1);
+  const JsonValue page = parse_json(peer.handle(R"({"op": "pull"})"));
+  const JsonValue& entries = *member(*member(page, "pull"), "entries");
+  ASSERT_EQ(entries.items().size(), 1u);
+  EXPECT_EQ(member(entries.items()[0], "key")->as_string(), good_key);
 }
 
 TEST(Server, InfeasiblePayloadCarriesTheBareMessage) {
